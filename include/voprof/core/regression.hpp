@@ -65,11 +65,18 @@ struct LmsConfig {
   double quantile = 0.5;
 };
 
-/// Fit by Least Median of Squares: draws random (p+1)-point elemental
-/// subsets, solves each exactly, keeps the candidate minimizing the
-/// median squared residual, then refines with OLS over the inliers
-/// within inlier_sigma robust standard deviations. Deterministic given
-/// the RNG state.
+/// Fit by Least Median of Squares: draws `subsets` random p-point
+/// elemental subsets (p = predictors + intercept), solves each exactly
+/// (singular draws are skipped), and keeps the first candidate with the
+/// smallest objective: the exact linearly interpolated `quantile` of
+/// all n squared residuals, as util::percentile defines it (0.5 = the
+/// median). It then refines with OLS over the inliers within
+/// inlier_sigma robust standard deviations. The quantile is selected in
+/// O(n), and a subset's residual pass stops as soon as enough squares
+/// reach the best objective so far that it cannot win, so the search
+/// costs at most O(subsets * n * p). The result is the same, bit for
+/// bit, as sorting every subset's squares. Deterministic given the RNG
+/// state.
 [[nodiscard]] LinearFit fit_lms(const util::Matrix& x,
                                 std::span<const double> y, util::Rng& rng,
                                 const LmsConfig& config = {});

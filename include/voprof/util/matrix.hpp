@@ -10,6 +10,8 @@
 #include <span>
 #include <vector>
 
+#include "voprof/util/assert.hpp"
+
 namespace voprof::util {
 
 /// Dense row-major matrix of doubles.
@@ -26,8 +28,15 @@ class Matrix {
   [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
   [[nodiscard]] bool empty() const noexcept { return data_.empty(); }
 
-  [[nodiscard]] double& operator()(std::size_t r, std::size_t c);
-  [[nodiscard]] double operator()(std::size_t r, std::size_t c) const;
+  // Inline: the LMS residual pass reads every element once per subset.
+  [[nodiscard]] double& operator()(std::size_t r, std::size_t c) {
+    VOPROF_ASSERT(r < rows_ && c < cols_);
+    return data_[r * cols_ + c];
+  }
+  [[nodiscard]] double operator()(std::size_t r, std::size_t c) const {
+    VOPROF_ASSERT(r < rows_ && c < cols_);
+    return data_[r * cols_ + c];
+  }
 
   /// Contiguous view of one row.
   [[nodiscard]] std::span<double> row(std::size_t r);
@@ -57,8 +66,15 @@ class Matrix {
 };
 
 /// Solve the square system A x = b by Gaussian elimination with partial
-/// pivoting. Throws ContractViolation if A is singular (pivot below
-/// 1e-12 of the largest column magnitude).
+/// pivoting, in caller-owned buffers: `a` and `b` are overwritten and
+/// the solution goes to `x`. Returns false, without throwing, when A is
+/// singular (a pivot magnitude of at most 1e-12). Requires a square `a`
+/// and b.size() == x.size() == a.rows().
+[[nodiscard]] bool try_solve_linear(Matrix& a, std::span<double> b,
+                                    std::span<double> x);
+
+/// try_solve_linear on copies that throws ContractViolation when A is
+/// singular.
 [[nodiscard]] std::vector<double> solve_linear(Matrix a,
                                                std::vector<double> b);
 

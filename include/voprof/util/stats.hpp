@@ -38,9 +38,15 @@ class RunningStats {
   double max_ = 0.0;
 };
 
-/// Linear-interpolation percentile of an unsorted sample, q in [0, 100].
+/// Linear-interpolation percentile of an unsorted sample, q in [0, 100]:
+/// with s the sample in ascending order, pos = q/100 * (n-1) and
+/// lo = floor(pos), the result is s[lo] + (pos-lo) * (s[lo+1] - s[lo]).
 /// Does not modify the input. Requires a non-empty sample.
 [[nodiscard]] double percentile(std::span<const double> sample, double q);
+
+/// percentile() without the copy: selects s[lo] and s[lo+1] in place in
+/// O(n), leaving `sample` reordered. Same value, bit for bit.
+[[nodiscard]] double percentile_in_place(std::span<double> sample, double q);
 
 /// Mean of a sample (0 for empty).
 [[nodiscard]] double mean(std::span<const double> sample) noexcept;

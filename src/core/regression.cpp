@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "voprof/core/invariants.hpp"
 #include "voprof/util/assert.hpp"
@@ -99,10 +100,21 @@ LinearFit fit_lms(const util::Matrix& x, std::span<const double> y,
 
   const util::Matrix d = with_intercept(x);
 
-  std::vector<double> best_coef;
-  double best_median = std::numeric_limits<double>::infinity();
+  // Scratch reused by every trial: the elemental system, its solution
+  // and the squared residuals the quantile is selected from.
   std::vector<std::size_t> idx(p);
+  util::Matrix a(p, p);
+  std::vector<double> b(p);
+  std::vector<double> cand_coef(p);
+  std::vector<double> best_coef(p);
   std::vector<double> sq(n);
+  double best_median = std::numeric_limits<double>::infinity();
+  bool found = false;
+  // The rank util::percentile interpolates up from, computed the same way.
+  const double q_pct = config.quantile * 100.0;
+  const auto lo =
+      static_cast<std::size_t>(q_pct / 100.0 * static_cast<double>(n - 1));
+  const std::size_t max_at_or_above = n - 1 - lo;
 
   for (int trial = 0; trial < config.subsets; ++trial) {
     // Draw p distinct row indices.
@@ -124,34 +136,37 @@ LinearFit fit_lms(const util::Matrix& x, std::span<const double> y,
       }
     }
     // Solve the elemental p x p system exactly; skip singular draws.
-    util::Matrix a(p, p);
-    std::vector<double> b(p);
     for (std::size_t r = 0; r < p; ++r) {
       for (std::size_t c = 0; c < p; ++c) a(r, c) = d(idx[r], c);
       b[r] = y[idx[r]];
     }
-    std::vector<double> cand_coef;
-    try {
-      cand_coef = util::solve_linear(std::move(a), std::move(b));
-    } catch (const util::ContractViolation&) {
-      continue;  // degenerate subset
-    }
+    if (!util::try_solve_linear(a, b, cand_coef)) continue;
     // Objective quantile of squared residuals over the full data set
-    // (0.5 = classic LMS; higher = Least Quantile of Squares).
+    // (0.5 = classic LMS; higher = Least Quantile of Squares). It is
+    // s[lo] + frac * (s[lo+1] - s[lo]) >= s[lo] over the sorted squares
+    // s, so once more than n-1-lo squares reach best_median, s[lo] does
+    // too and this candidate cannot win: stop without selecting.
+    std::size_t at_or_above = 0;
+    bool beaten = false;
     for (std::size_t r = 0; r < n; ++r) {
       double pred = 0.0;
       for (std::size_t c = 0; c < p; ++c) pred += d(r, c) * cand_coef[c];
       const double res = y[r] - pred;
       sq[r] = res * res;
+      if (!(sq[r] < best_median) && ++at_or_above > max_at_or_above) {
+        beaten = true;
+        break;
+      }
     }
-    const double med = util::percentile(sq, config.quantile * 100.0);
+    if (beaten) continue;
+    const double med = util::percentile_in_place(sq, q_pct);
     if (med < best_median) {
       best_median = med;
-      best_coef = std::move(cand_coef);
+      best_coef.swap(cand_coef);
+      found = true;
     }
   }
-  VOPROF_REQUIRE_MSG(!best_coef.empty(),
-                     "LMS failed: all elemental subsets degenerate");
+  VOPROF_REQUIRE_MSG(found, "LMS failed: all elemental subsets degenerate");
 
   // Rousseeuw's reweighted refinement: robust scale estimate from the
   // best median, then OLS over the inliers.

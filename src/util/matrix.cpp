@@ -27,16 +27,6 @@ Matrix Matrix::identity(std::size_t n) {
   return m;
 }
 
-double& Matrix::operator()(std::size_t r, std::size_t c) {
-  VOPROF_ASSERT(r < rows_ && c < cols_);
-  return data_[r * cols_ + c];
-}
-
-double Matrix::operator()(std::size_t r, std::size_t c) const {
-  VOPROF_ASSERT(r < rows_ && c < cols_);
-  return data_[r * cols_ + c];
-}
-
 std::span<double> Matrix::row(std::size_t r) {
   VOPROF_REQUIRE(r < rows_);
   return {data_.data() + r * cols_, cols_};
@@ -114,9 +104,10 @@ double Matrix::max_abs_diff(const Matrix& other) const {
   return m;
 }
 
-std::vector<double> solve_linear(Matrix a, std::vector<double> b) {
+bool try_solve_linear(Matrix& a, std::span<double> b, std::span<double> x) {
   VOPROF_REQUIRE_MSG(a.rows() == a.cols(), "solve_linear needs a square matrix");
   VOPROF_REQUIRE(b.size() == a.rows());
+  VOPROF_REQUIRE(x.size() == a.rows());
   const std::size_t n = a.rows();
   for (std::size_t col = 0; col < n; ++col) {
     // Partial pivoting.
@@ -128,7 +119,7 @@ std::vector<double> solve_linear(Matrix a, std::vector<double> b) {
         pivot = r;
       }
     }
-    VOPROF_REQUIRE_MSG(best > 1e-12, "singular matrix in solve_linear");
+    if (!(best > 1e-12)) return false;
     if (pivot != col) {
       for (std::size_t c = 0; c < n; ++c) std::swap(a(col, c), a(pivot, c));
       std::swap(b[col], b[pivot]);
@@ -141,12 +132,18 @@ std::vector<double> solve_linear(Matrix a, std::vector<double> b) {
       b[r] -= f * b[col];
     }
   }
-  std::vector<double> x(n, 0.0);
   for (std::size_t i = n; i-- > 0;) {
     double s = b[i];
     for (std::size_t c = i + 1; c < n; ++c) s -= a(i, c) * x[c];
     x[i] = s / a(i, i);
   }
+  return true;
+}
+
+std::vector<double> solve_linear(Matrix a, std::vector<double> b) {
+  std::vector<double> x(b.size());
+  VOPROF_REQUIRE_MSG(try_solve_linear(a, b, x),
+                     "singular matrix in solve_linear");
   return x;
 }
 

@@ -53,16 +53,26 @@ double RunningStats::stddev() const noexcept {
 }
 
 double percentile(std::span<const double> sample, double q) {
+  std::vector<double> copy(sample.begin(), sample.end());
+  return percentile_in_place(copy, q);
+}
+
+double percentile_in_place(std::span<double> sample, double q) {
   VOPROF_REQUIRE_MSG(!sample.empty(), "percentile of empty sample");
   VOPROF_REQUIRE(q >= 0.0 && q <= 100.0);
-  std::vector<double> sorted(sample.begin(), sample.end());
-  std::sort(sorted.begin(), sorted.end());
-  if (sorted.size() == 1) return sorted.front();
-  const double pos = q / 100.0 * static_cast<double>(sorted.size() - 1);
+  if (sample.size() == 1) return sample.front();
+  const double pos = q / 100.0 * static_cast<double>(sample.size() - 1);
   const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const std::size_t hi = std::min(lo + 1, sample.size() - 1);
   const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+  // After nth_element, s[lo] is in place and everything after it is
+  // >= s[lo], so s[lo+1] is the minimum of that upper partition.
+  const auto lo_it = sample.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(sample.begin(), lo_it, sample.end());
+  const double lo_v = *lo_it;
+  const double hi_v =
+      hi == lo ? lo_v : *std::min_element(lo_it + 1, sample.end());
+  return lo_v + frac * (hi_v - lo_v);
 }
 
 double mean(std::span<const double> sample) noexcept {

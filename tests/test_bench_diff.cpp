@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 
 #include "voprof/util/assert.hpp"
@@ -24,6 +25,22 @@ util::Json record(
     util::Json wall = util::Json::object();
     wall.set("median", median);
     b.set("wall_s", std::move(wall));
+    arr.push_back(std::move(b));
+  }
+  doc.set("benchmarks", std::move(arr));
+  return doc;
+}
+
+/// record() with a result checksum on every benchmark.
+util::Json record_with_checksums(
+    const std::vector<std::pair<std::string, double>>& checksums) {
+  std::vector<std::pair<std::string, double>> benches;
+  for (const auto& [name, sum] : checksums) benches.emplace_back(name, 1.0);
+  util::Json doc = record(benches);
+  util::Json arr = util::Json::array();
+  std::size_t i = 0;
+  for (util::Json b : doc.at("benchmarks").as_array()) {
+    b.set("checksum", checksums[i++].second);
     arr.push_back(std::move(b));
   }
   doc.set("benchmarks", std::move(arr));
@@ -123,6 +140,58 @@ TEST(BenchDiff, RejectsBadThresholdAndMissingFile) {
   EXPECT_THROW((void)bench_diff_files("/nonexistent/base.json",
                                       "/nonexistent/cur.json", 0.25),
                util::ContractViolation);
+}
+
+TEST(BenchDiff, EqualChecksumsPass) {
+  const auto report =
+      bench_diff(record_with_checksums({{"a", 2934.0959255497605}}),
+                 record_with_checksums({{"a", 2934.0959255497605}}), 0.25);
+  ASSERT_EQ(report.compared.size(), 1u);
+  EXPECT_FALSE(report.compared[0].checksum_mismatch);
+  EXPECT_FALSE(report.has_checksum_mismatch());
+  EXPECT_EQ(bench_diff_exit_code(report, false), kBenchDiffExitNeutral);
+}
+
+TEST(BenchDiff, ChecksumMismatchFailsLikeARegression) {
+  // Same speed, different result: the gate must not pass a change that
+  // computes something else. One ulp is enough.
+  const double sum = 377.202741514671;
+  const auto report = bench_diff(
+      record_with_checksums({{"same", 1.0}, {"changed", sum}}),
+      record_with_checksums(
+          {{"same", 1.0}, {"changed", std::nextafter(sum, 1e9)}}),
+      0.25);
+  ASSERT_EQ(report.compared.size(), 2u);
+  EXPECT_FALSE(report.compared[0].checksum_mismatch);
+  EXPECT_TRUE(report.compared[1].checksum_mismatch);
+  EXPECT_EQ(report.compared[1].verdict, BenchVerdict::kNeutral);
+  EXPECT_FALSE(report.has_regression());
+  EXPECT_TRUE(report.has_checksum_mismatch());
+  EXPECT_EQ(bench_diff_exit_code(report, false), kBenchDiffExitRegression);
+  EXPECT_EQ(bench_diff_exit_code(report, true), kBenchDiffExitRegression);
+  const std::string text = format_bench_diff(report, 0.25);
+  EXPECT_NE(text.find("CHECKSUM MISMATCH"), std::string::npos);
+  EXPECT_NE(text.find("377.20274151467"), std::string::npos);
+}
+
+TEST(BenchDiff, ChecksumComparedOnlyWhenBothRecordsCarryOne) {
+  const auto report = bench_diff(record({{"a", 1.0}}),
+                                 record_with_checksums({{"a", 5.0}}), 0.25);
+  ASSERT_EQ(report.compared.size(), 1u);
+  EXPECT_FALSE(report.compared[0].checksum_mismatch);
+  EXPECT_EQ(bench_diff_exit_code(report, false), kBenchDiffExitNeutral);
+}
+
+TEST(BenchDiff, RejectsNonNumericChecksum) {
+  util::Json doc = record_with_checksums({{"a", 1.0}});
+  util::Json arr = util::Json::array();
+  for (util::Json b : doc.at("benchmarks").as_array()) {
+    b.set("checksum", "abc");
+    arr.push_back(std::move(b));
+  }
+  doc.set("benchmarks", std::move(arr));
+  EXPECT_THROW((void)bench_diff(doc, record({{"a", 1.0}}), 0.25),
+               util::JsonError);
 }
 
 TEST(BenchDiff, FormatMentionsEveryBenchmark) {

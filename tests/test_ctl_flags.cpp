@@ -115,5 +115,33 @@ TEST(CtlFlags, MissingFlagValueIsAValidationError) {
   EXPECT_EQ(parsed.error().code, util::Errc::kValidation);
 }
 
+TEST(CtlFlags, HelpIsASwitchOnEveryCommand) {
+  for (const std::string& cmd : known_commands()) {
+    SCOPED_TRACE(cmd);
+    for (const char* spelling : {"--help", "-h"}) {
+      const auto parsed = parse_flags(cmd, {spelling});
+      ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
+      EXPECT_TRUE(parsed.value().args.get_bool(kHelpFlag));
+    }
+    // The usage text names the command and documents every flag.
+    const std::string usage = command_usage(cmd);
+    EXPECT_EQ(usage.rfind("usage: voprofctl " + cmd + "\n", 0), 0u);
+    for (const FlagSpec& f : command_flags(cmd)) {
+      EXPECT_NE(usage.find("--" + f.name), std::string::npos) << f.name;
+    }
+    EXPECT_NE(commands_usage().find("  " + cmd + " "), std::string::npos);
+  }
+  // Alongside other flags, and never mistaken for a flag value.
+  const auto train = parse_flags("train", {"--out", "m.txt", "--help"});
+  ASSERT_TRUE(train.ok()) << train.error().to_string();
+  EXPECT_TRUE(train.value().args.get_bool(kHelpFlag));
+  EXPECT_FALSE(parse_flags("train", {"--out"}).ok());
+  EXPECT_FALSE(
+      parse_flags("train", {}).value().args.get_bool(kHelpFlag));
+  EXPECT_EQ(command_usage("serve", "voprofd").rfind("usage: voprofd\n", 0),
+            0u);
+  EXPECT_TRUE(command_usage("trainx").empty());
+}
+
 }  // namespace
 }  // namespace voprof::tools

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
 #include "voprof/util/assert.hpp"
+#include "voprof/util/rng.hpp"
 
 namespace voprof::util {
 namespace {
@@ -91,6 +95,58 @@ TEST(Percentile, RejectsEmptyAndBadQ) {
   EXPECT_THROW((void)percentile({}, 50.0), ContractViolation);
   EXPECT_THROW((void)percentile(v, -1.0), ContractViolation);
   EXPECT_THROW((void)percentile(v, 101.0), ContractViolation);
+  std::vector<double> scratch = v;
+  EXPECT_THROW((void)percentile_in_place(std::span<double>{}, 50.0),
+               ContractViolation);
+  EXPECT_THROW((void)percentile_in_place(scratch, 101.0), ContractViolation);
+}
+
+/// The documented definition: sort, then interpolate between neighbours.
+double sort_and_interpolate(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  if (v.size() == 1) return v.front();
+  const double pos = q / 100.0 * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return v[lo] + frac * (v[hi] - v[lo]);
+}
+
+/// Equal bits, or both NaN (inf - inf under interpolation).
+bool same_value(double a, double b) {
+  return (std::isnan(a) && std::isnan(b)) ||
+         std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+TEST(Percentile, SelectionMatchesSortAndInterpolate) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Rng rng(17);
+  for (const std::size_t n : {1u, 2u, 3u, 4u, 7u, 10u, 101u, 1000u}) {
+    for (int rep = 0; rep < 20; ++rep) {
+      std::vector<double> v(n);
+      for (double& x : v) {
+        // Few distinct values force duplicates; some samples get +-inf.
+        x = rep % 2 == 0 ? std::floor(rng.uniform(0.0, 5.0))
+                         : rng.uniform(-100.0, 100.0);
+      }
+      if (rep % 5 == 1) v[rng.uniform_int(n)] = kInf;
+      if (rep % 5 == 2) v[rng.uniform_int(n)] = -kInf;
+      for (const double q : {0.0, 50.0, 85.0, 100.0, 33.3}) {
+        SCOPED_TRACE(testing::Message() << "n=" << n << " rep=" << rep
+                                        << " q=" << q);
+        const std::vector<double> before = v;
+        const double want = sort_and_interpolate(v, q);
+        EXPECT_TRUE(same_value(percentile(v, q), want));
+        EXPECT_EQ(v, before);  // input untouched
+        std::vector<double> scratch = v;
+        EXPECT_TRUE(same_value(percentile_in_place(scratch, q), want));
+        std::sort(scratch.begin(), scratch.end());
+        std::vector<double> sorted = before;
+        std::sort(sorted.begin(), sorted.end());
+        EXPECT_EQ(scratch, sorted);  // reordered, never changed
+      }
+    }
+  }
 }
 
 TEST(MeanStddev, BasicValues) {

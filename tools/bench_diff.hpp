@@ -2,7 +2,9 @@
 /// \file bench_diff.hpp
 /// Comparison of two harness perf records (BENCH_<name>.json, schema
 /// voprof-bench-1): pairs benchmarks by name, compares median wall
-/// time, and classifies each pair against a relative threshold. The
+/// time, classifies each pair against a relative threshold, and flags
+/// pairs whose result checksums differ (the same workload must compute
+/// the same result, however fast). The
 /// logic lives in a library so tests can drive it without spawning the
 /// CLI; `voprofctl bench-diff` is a thin wrapper and the CI perf gate.
 
@@ -24,6 +26,11 @@ struct BenchComparison {
   /// current / baseline median wall time; > 1 means slower.
   double ratio = 1.0;
   BenchVerdict verdict = BenchVerdict::kNeutral;
+  /// Result checksums; compared only when both records carry one.
+  double baseline_checksum = 0.0;
+  double current_checksum = 0.0;
+  /// Both records carry a checksum and the values differ.
+  bool checksum_mismatch = false;
 };
 
 /// Full diff of two perf records.
@@ -34,6 +41,7 @@ struct BenchDiffReport {
 
   [[nodiscard]] bool has_regression() const noexcept;
   [[nodiscard]] bool has_improvement() const noexcept;
+  [[nodiscard]] bool has_checksum_mismatch() const noexcept;
 };
 
 /// Compare two parsed perf records. `threshold` is the relative
@@ -57,7 +65,8 @@ struct BenchDiffReport {
 /// Process exit codes of `voprofctl bench-diff` (tested contract):
 /// 0 = no significant change (or improvements without
 ///     --report-improvement, so a CI gate only fails on regressions),
-/// 1 = at least one regression beyond the threshold,
+/// 1 = at least one regression beyond the threshold, or a pair whose
+///     checksums differ,
 /// 2 = usage or input error (missing/malformed JSON),
 /// 4 = improvements only, when --report-improvement was passed.
 inline constexpr int kBenchDiffExitNeutral = 0;

@@ -7,6 +7,8 @@
 ///    silently parsing;
 ///  * the cross-cutting flags keep one spelling everywhere: `--jobs`,
 ///    `--seed`, `--format csv|json`, `--trace-out FILE`;
+///  * every command takes `--help` (or `-h`), a switch that asks for the
+///    usage text this table also holds;
 ///  * deprecated spellings (`simulate --csv` for `--series-out`,
 ///    `fit/inspect --trace` for `--observations`) still work but are
 ///    rewritten to their canonical flag with a one-line stderr
@@ -36,9 +38,27 @@ struct FlagAlias {
   std::string canonical;
 };
 
+/// The switch every command accepts: print the command's usage and exit
+/// 0. Not listed in command_flags().
+inline constexpr const char* kHelpFlag = "help";
+
+/// True for the tokens that ask for help: `--help` and `-h`.
+[[nodiscard]] inline bool is_help_token(const std::string& token) {
+  return token == "--help" || token == "-h";
+}
+
 /// Flags accepted by `command`; empty when the command is unknown.
 [[nodiscard]] const std::vector<FlagSpec>& command_flags(
     const std::string& command);
+
+/// `command`'s --help text: "usage: <program>", a one-line summary and
+/// its flags. `program` defaults to "voprofctl <command>". Empty when
+/// the command is unknown.
+[[nodiscard]] std::string command_usage(const std::string& command,
+                                        const std::string& program = {});
+
+/// The top-level voprofctl usage: every command with its flags.
+[[nodiscard]] std::string commands_usage();
 
 /// Commands registered in the table.
 [[nodiscard]] std::vector<std::string> known_commands();

@@ -29,8 +29,9 @@
 ///   voprofctl serve   --socket PATH / voprofctl request --socket PATH
 ///       Run the voprofd daemon in-process / send it one request.
 ///
-/// Every command accepts --trace-out FILE (observability trace export)
-/// and shares one spelling for --jobs / --seed / --format. Flags are
+/// Every command accepts --help (its usage, exit 0); the pipeline
+/// commands accept --trace-out FILE (observability trace export) and
+/// share one spelling for --jobs / --seed / --format. Flags are
 /// declared in tools/ctl_flags.cpp; deprecated spellings are rewritten
 /// there with a warning.
 
@@ -60,54 +61,7 @@ namespace {
 using namespace voprof;
 
 int usage() {
-  std::cout <<
-      "usage: voprofctl <command> [flags]\n"
-      "commands:\n"
-      "  train         run the micro-benchmark sweep and fit the models\n"
-      "                  --out FILE [--method lms|ols] [--duration SEC]\n"
-      "                  [--seed N] [--jobs N]\n"
-      "  export-trace  dump sweep observations as CSV\n"
-      "                  --out FILE [--duration SEC] [--seed N] [--jobs N]\n"
-      "  fit           fit models from an observation CSV\n"
-      "                  --observations FILE --out FILE [--method lms|ols]\n"
-      "  predict       predict PM utilization from summed VM metrics\n"
-      "                  --models FILE --cpu PCT --mem MIB --io BLKS\n"
-      "                  --bw KBPS [--vms N] [--format csv|json]\n"
-      "  profile       measure one workload cell\n"
-      "                  --kind cpu|mem|io|bw --value V [--vms N]\n"
-      "                  [--duration SEC] [--seed N] [--format csv|json]\n"
-      "  rubis         RUBiS prediction-accuracy run\n"
-      "                  --models FILE [--clients N] [--duration SEC]\n"
-      "  inspect       bootstrap confidence intervals for the model\n"
-      "                  coefficients fitted from an observation CSV\n"
-      "                  --observations FILE [--method lms|ols]\n"
-      "                  [--resamples N]\n"
-      "  simulate      run a declarative scenario (INI) and print the\n"
-      "                  measured utilizations\n"
-      "                  --scenario FILE [--series-out OUT.csv]\n"
-      "                  [--replications N] [--jobs N] [--seed N]\n"
-      "                  [--format csv|json]\n"
-      "  serve         run the voprofd daemon (see `voprofd --help`)\n"
-      "                  --socket PATH [--jobs N] [--queue-capacity N]\n"
-      "                  [--default-deadline-ms MS] [--metrics-out FILE]\n"
-      "  request       send one voprof-api-1 request to a daemon\n"
-      "                  --socket PATH --op OP [--params JSON] [--id ID]\n"
-      "                  [--deadline-ms MS] [--timeout-ms MS]\n"
-      "  bench-diff    compare two BENCH_*.json perf records\n"
-      "                  --baseline FILE --current FILE\n"
-      "                  [--threshold FRAC] [--report-improvement]\n"
-      "                  exit 0 = ok, 1 = regression, 2 = bad input,\n"
-      "                  4 = improvement (with --report-improvement)\n"
-      "  trace         digest an exported observability trace\n"
-      "                  trace summary FILE   per-category time table\n"
-      "                  trace top FILE [--limit N]\n"
-      "                                       busiest spans by total time\n"
-      "                  trace export FILE [--out OUT.csv]\n"
-      "                                       per-span aggregates as CSV\n"
-      "  version       print the build identity (compiler, flags,\n"
-      "                  git describe, observability state)\n"
-      "every command also accepts --trace-out FILE (observability\n"
-      "trace; VOPROF_TRACE=FILE works too)\n";
+  std::cout << tools::commands_usage();
   return 2;
 }
 
@@ -546,6 +500,7 @@ int dispatch(const std::string& cmd, const util::CliArgs& args) {
   if (cmd == "bench-diff") return cmd_bench_diff(args);
   if (cmd == "serve") return cmd_serve(args);
   if (cmd == "request") return cmd_request(args);
+  if (cmd == "version") return cmd_version();
   return usage();
 }
 
@@ -555,12 +510,19 @@ int main(int argc, char** argv) {
   try {
     if (argc < 2) return usage();
     const std::string cmd = argv[1];
-    if (cmd == "version") return cmd_version();
+    if (tools::is_help_token(cmd)) {
+      std::cout << tools::commands_usage();
+      return 0;
+    }
     // `trace` takes a subcommand word plus a positional file, which
     // the flag table (exactly zero positionals) can't express: peel
     // the two leading words off first, so the file path becomes the
     // command.
     if (cmd == "trace") {
+      if (argc >= 3 && tools::is_help_token(argv[2])) {
+        std::cout << tools::command_usage(cmd);
+        return 0;
+      }
       if (argc < 3) return usage();
       return cmd_trace(argv[2], util::CliArgs::parse(argc - 2, argv + 2));
     }
@@ -575,6 +537,10 @@ int main(int argc, char** argv) {
       std::cerr << "voprofctl: " << warning << '\n';
     }
     const util::CliArgs& args = parsed.value().args;
+    if (args.get_bool(tools::kHelpFlag)) {
+      std::cout << tools::command_usage(cmd);
+      return 0;
+    }
 
     // Uniform observability wiring: --trace-out (or VOPROF_TRACE)
     // enables the collector for ANY command; the file is written after

@@ -22,17 +22,6 @@
 
 int main(int argc, char** argv) {
   using namespace voprof;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: voprofd --socket PATH [--jobs N]\n"
-                   "  [--queue-capacity N] [--default-deadline-ms MS]\n"
-                   "  [--max-deadline-ms MS] [--train-duration SEC]\n"
-                   "  [--seed N] [--inner-jobs N] [--metrics-out FILE]\n"
-                   "  [--trace-out FILE] [--enable-test-ops]\n";
-      return 2;
-    }
-  }
   const util::Result<tools::ParsedFlags> parsed =
       tools::parse_flags_argv("serve", argc, argv, 1);
   if (!parsed.ok()) {
@@ -43,6 +32,10 @@ int main(int argc, char** argv) {
     std::cerr << "voprofd: " << warning << '\n';
   }
   const util::CliArgs& args = parsed.value().args;
+  if (args.get_bool(tools::kHelpFlag)) {
+    std::cout << tools::command_usage("serve", "voprofd");
+    return 0;
+  }
 
   auto& collector = obs::TraceCollector::global();
   if (args.has("trace-out")) {
