@@ -19,6 +19,7 @@
 /// every write path to nothing (kObsCompiled folds to false below), so
 /// the hot loops carry no atomics at all.
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -36,23 +37,58 @@ inline constexpr bool kObsCompiled = true;
 inline constexpr bool kObsCompiled = false;
 #endif
 
+namespace detail {
+
+/// Cells per Counter: more than the worker threads a process runs at
+/// once, so concurrent writers rarely share one.
+inline constexpr std::size_t kCounterCells = 16;
+
+/// The calling thread's cell index in every Counter. Threads take
+/// indices round-robin on their first add and keep them for life.
+[[nodiscard]] inline std::size_t this_thread_counter_cell() noexcept {
+  static std::atomic<std::size_t> next{0};
+  thread_local const std::size_t cell =
+      next.fetch_add(1, std::memory_order_relaxed) % kCounterCells;
+  return cell;
+}
+
+}  // namespace detail
+
 /// Monotonic event count (events fired, samples taken, cells run...).
+///
+/// Sharded so the tick path carries no shared cache line: each thread
+/// adds into its own cache-line-sized cell, and value() sums the cells.
+/// The cells belong to the counter, so counts made by threads that have
+/// since exited still count. Exact once writers quiesce, like every
+/// snapshot here. Costs kCounterCells * 64 bytes per counter.
 class Counter {
  public:
   void add(std::uint64_t n = 1) noexcept {
     if constexpr (kObsCompiled) {
-      value_.fetch_add(n, std::memory_order_relaxed);
+      cells_[detail::this_thread_counter_cell()].value.fetch_add(
+          n, std::memory_order_relaxed);
     } else {
       (void)n;
     }
   }
   [[nodiscard]] std::uint64_t value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
+    std::uint64_t sum = 0;
+    for (const Cell& c : cells_) {
+      sum += c.value.load(std::memory_order_relaxed);
+    }
+    return sum;
   }
-  void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
+  void reset() noexcept {
+    for (Cell& c : cells_) {
+      c.value.store(0, std::memory_order_relaxed);
+    }
+  }
 
  private:
-  std::atomic<std::uint64_t> value_{0};
+  struct alignas(64) Cell {
+    std::atomic<std::uint64_t> value{0};
+  };
+  std::array<Cell, detail::kCounterCells> cells_{};
 };
 
 /// Last-written (or high-water) double value.

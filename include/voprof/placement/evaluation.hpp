@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -75,7 +76,8 @@ class PlacementEvaluation {
 
   /// Profile the per-role demand vectors by running each role on an
   /// otherwise-idle testbed and feeding the measured series through
-  /// the CloudScale predictor (done lazily once, cached).
+  /// the CloudScale predictor (done lazily once, cached). Safe to call
+  /// concurrently: the first caller profiles, the others wait for it.
   [[nodiscard]] const std::map<VmRole, model::UtilVec>& role_demands() const;
 
   /// One placement + RUBiS run.
@@ -93,7 +95,7 @@ class PlacementEvaluation {
   EvalConfig config_;
   const model::MultiVmModel* model_;
   mutable std::map<VmRole, model::UtilVec> role_demands_;
-  mutable bool profiled_ = false;
+  mutable std::once_flag profiled_;
 };
 
 }  // namespace voprof::place

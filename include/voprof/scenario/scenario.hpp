@@ -80,6 +80,19 @@ struct ScenarioSpec {
   [[nodiscard]] static ScenarioSpec load(const std::string& path);
 };
 
+/// Thrown by run_scenario when a [vm] trace file cannot be read or
+/// replayed. It reports bad input, not a library failure: error() names
+/// the VM section and the CSV row and column, never the file's content,
+/// so a server can hand it back to a client that may not read the file.
+class TraceInputError : public util::ContractViolation {
+ public:
+  explicit TraceInputError(util::Error error);
+  [[nodiscard]] const util::Error& error() const noexcept { return error_; }
+
+ private:
+  util::Error error_;
+};
+
 /// Result: one report per monitored machine, keyed by machine index.
 struct ScenarioResult {
   std::map<int, mon::MeasurementReport> reports;
@@ -87,7 +100,8 @@ struct ScenarioResult {
   [[nodiscard]] std::string summary() const;
 };
 
-/// Build the testbed and run it.
+/// Build the testbed and run it. Throws TraceInputError for a [vm]
+/// trace that cannot be replayed.
 [[nodiscard]] ScenarioResult run_scenario(const ScenarioSpec& spec);
 
 /// Aggregate of several independent replications of one scenario.

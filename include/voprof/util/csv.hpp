@@ -45,8 +45,9 @@ class CsvDocument {
   void save(const std::string& path) const;
 
   /// Primary, non-throwing parse (numeric cells only). Errors carry
-  /// Errc::kParse with a "row N" context, or Errc::kIo for unreadable
-  /// files (load_result).
+  /// Errc::kParse with a "row N" (or "row N, column C") context, or
+  /// Errc::kIo for unreadable files (load_result). They never quote
+  /// the input.
   [[nodiscard]] static Result<CsvDocument> parse_result(std::istream& is);
   [[nodiscard]] static Result<CsvDocument> parse_string_result(
       const std::string& text);

@@ -51,7 +51,12 @@ class TraceWorkload final : public sim::GuestProcess {
 
 /// Build a trace from a CSV with columns cpu/mem/io/bw (names
 /// configurable via `prefix`, e.g. "vm_" matches the monitor_demo
-/// dump). Every row becomes one point of `interval_s` seconds.
+/// dump). Every row becomes one point of `interval_s` seconds. A CSV
+/// without the cpu column or without rows is Errc::kValidation.
+[[nodiscard]] util::Result<std::vector<TracePoint>> trace_from_csv_result(
+    const util::CsvDocument& csv, const std::string& prefix = "vm_",
+    double interval_s = 1.0);
+/// Throwing shim over trace_from_csv_result (throws ContractViolation).
 [[nodiscard]] std::vector<TracePoint> trace_from_csv(
     const util::CsvDocument& csv, const std::string& prefix = "vm_",
     double interval_s = 1.0);

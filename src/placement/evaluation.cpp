@@ -93,10 +93,7 @@ std::map<VmRole, model::UtilVec> PlacementEvaluation::profile_roles() const {
 
 const std::map<VmRole, model::UtilVec>& PlacementEvaluation::role_demands()
     const {
-  if (!profiled_) {
-    role_demands_ = profile_roles();
-    profiled_ = true;
-  }
+  std::call_once(profiled_, [this] { role_demands_ = profile_roles(); });
   return role_demands_;
 }
 

@@ -183,6 +183,36 @@ ScenarioSpec ScenarioSpec::load(const std::string& path) {
   return load_result(path).value_or_throw();
 }
 
+TraceInputError::TraceInputError(util::Error error)
+    : util::ContractViolation(error.to_string()), error_(std::move(error)) {}
+
+namespace {
+
+std::vector<wl::TracePoint> load_vm_trace(const ScenarioSpec::VmEntry& vm) {
+  const std::string where = "[vm " + vm.name + "] trace";
+  std::ifstream f(vm.trace_path);
+  if (!f.good()) {
+    throw TraceInputError({util::Errc::kIo, "cannot open trace file", where});
+  }
+  const util::Result<util::CsvDocument> csv =
+      util::CsvDocument::parse_result(f);
+  if (!csv.ok()) {
+    util::Error err = csv.error();
+    err.context = where + " " + err.context;
+    throw TraceInputError(std::move(err));
+  }
+  util::Result<std::vector<wl::TracePoint>> trace =
+      wl::trace_from_csv_result(csv.value(), "vm_", vm.trace_interval_s);
+  if (!trace.ok()) {
+    util::Error err = trace.error();
+    err.context = where;
+    throw TraceInputError(std::move(err));
+  }
+  return std::move(trace).take();
+}
+
+}  // namespace
+
 ScenarioResult run_scenario(const ScenarioSpec& spec) {
   VOPROF_WALL_SPAN("scenario", "run_scenario");
   static obs::Counter& runs =
@@ -214,9 +244,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
     }
     if (!vm.trace_path.empty()) {
       dom.attach(std::make_unique<wl::TraceWorkload>(
-          wl::trace_from_csv(util::CsvDocument::load(vm.trace_path), "vm_",
-                             vm.trace_interval_s),
-          trace_target, /*loop=*/true));
+          load_vm_trace(vm), trace_target, /*loop=*/true));
     } else if (vm.cpu_pct > 0 || vm.mem_mib > 0 || vm.io_blocks > 0 ||
                vm.bw_kbps > 0) {
       wl::MixedWorkload::Levels levels;

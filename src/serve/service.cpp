@@ -437,10 +437,14 @@ util::Json Service::op_simulate(const util::Json& params,
   const scenario::ScenarioSpec spec = std::move(parsed).take();
 
   check_deadline(expires_us, "before simulation");
-  const scenario::ReplicatedScenarioResult result =
-      scenario::run_scenario_replicated(
-          spec, static_cast<std::size_t>(replications), config_.inner_jobs,
-          [expires_us]() { return obs::monotonic_us() < expires_us; });
+  scenario::ReplicatedScenarioResult result;
+  try {
+    result = scenario::run_scenario_replicated(
+        spec, static_cast<std::size_t>(replications), config_.inner_jobs,
+        [expires_us]() { return obs::monotonic_us() < expires_us; });
+  } catch (const scenario::TraceInputError& e) {
+    fail(ApiError::kBadRequest, e.error().to_string());
+  }
   if (result.replications < static_cast<std::size_t>(replications)) {
     fail(ApiError::kTimedOut,
          "deadline expired after " + std::to_string(result.replications) +

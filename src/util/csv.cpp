@@ -124,11 +124,13 @@ Result<CsvDocument> CsvDocument::parse_result(std::istream& is) {
     }
     std::vector<double> row;
     row.reserve(cells.size());
-    for (const auto& cell : cells) {
+    for (std::size_t col = 0; col < cells.size(); ++col) {
       double v = 0.0;
-      if (!parse_double(cell, v)) {
-        return Error{Errc::kParse, "non-numeric CSV cell: '" + cell + "'",
-                     ctx};
+      // The cell itself stays out of the message: the file may be one
+      // the reader of the error is not allowed to see.
+      if (!parse_double(cells[col], v)) {
+        return Error{Errc::kParse, "non-numeric CSV cell",
+                     ctx + ", column " + std::to_string(col + 1)};
       }
       row.push_back(v);
     }

@@ -55,16 +55,22 @@ std::string TraceWorkload::label() const {
          (loop_ ? ", looping)" : ")");
 }
 
-std::vector<TracePoint> trace_from_csv(const util::CsvDocument& csv,
-                                       const std::string& prefix,
-                                       double interval_s) {
+util::Result<std::vector<TracePoint>> trace_from_csv_result(
+    const util::CsvDocument& csv, const std::string& prefix,
+    double interval_s) {
   VOPROF_REQUIRE(interval_s > 0.0);
   const std::string cpu_col = prefix + "cpu";
   const std::string mem_col = prefix + "mem";
   const std::string io_col = prefix + "io";
   const std::string bw_col = prefix + "bw";
-  VOPROF_REQUIRE_MSG(csv.has_column(cpu_col),
-                     "trace CSV lacks column: " + cpu_col);
+  if (!csv.has_column(cpu_col)) {
+    return util::Error{util::Errc::kValidation,
+                       "trace CSV lacks column: " + cpu_col, "trace"};
+  }
+  if (csv.row_count() == 0) {
+    return util::Error{util::Errc::kValidation, "trace CSV has no rows",
+                       "trace"};
+  }
   std::vector<TracePoint> out;
   out.reserve(csv.row_count());
   for (std::size_t i = 0; i < csv.row_count(); ++i) {
@@ -76,8 +82,13 @@ std::vector<TracePoint> trace_from_csv(const util::CsvDocument& csv,
     if (csv.has_column(bw_col)) p.bw_kbps = csv.at(i, bw_col);
     out.push_back(p);
   }
-  VOPROF_REQUIRE_MSG(!out.empty(), "trace CSV has no rows");
   return out;
+}
+
+std::vector<TracePoint> trace_from_csv(const util::CsvDocument& csv,
+                                       const std::string& prefix,
+                                       double interval_s) {
+  return trace_from_csv_result(csv, prefix, interval_s).value_or_throw();
 }
 
 std::vector<TracePoint> make_diurnal_trace(const DiurnalSpec& spec,

@@ -169,6 +169,57 @@ TEST(MetricsConcurrency, CountersExactUnderParallelWriters) {
   EXPECT_DOUBLE_EQ(s.sum, expected_sum);
 }
 
+// More writer threads than cells: some threads share a cell, and the
+// total is still exact.
+TEST(MetricsConcurrency, CounterExactWithMoreThreadsThanCells) {
+  if constexpr (!obs::kObsCompiled) {
+    GTEST_SKIP() << "observability compiled out (VOPROF_OBS=OFF)";
+  }
+
+  obs::Counter counter;
+  constexpr std::size_t kThreads = 3 * obs::detail::kCounterCells;
+  constexpr std::uint64_t kPerTask = 500;
+  util::TaskPool pool(kThreads);
+  pool.parallel_for_each(kThreads, [&](std::size_t) {
+    for (std::uint64_t i = 0; i < kPerTask; ++i) counter.add();
+  });
+  EXPECT_EQ(counter.value(), kThreads * kPerTask);
+}
+
+// The cells belong to the counter, not to the threads: counts made by
+// workers that have since exited are kept.
+TEST(MetricsConcurrency, CounterKeepsCountsOfExitedThreads) {
+  if constexpr (!obs::kObsCompiled) {
+    GTEST_SKIP() << "observability compiled out (VOPROF_OBS=OFF)";
+  }
+
+  obs::Counter counter;
+  {
+    util::TaskPool pool(4);
+    pool.parallel_for_each(16, [&](std::size_t task) { counter.add(task); });
+  }
+  EXPECT_EQ(counter.value(), 15u * 16u / 2u);
+  counter.add(7);  // the main thread still adds on top
+  EXPECT_EQ(counter.value(), 15u * 16u / 2u + 7u);
+}
+
+// reset() zeroes every cell, not just the calling thread's.
+TEST(MetricsConcurrency, CounterResetZeroesEveryCell) {
+  if constexpr (!obs::kObsCompiled) {
+    GTEST_SKIP() << "observability compiled out (VOPROF_OBS=OFF)";
+  }
+
+  obs::Counter counter;
+  constexpr std::size_t kThreads = 2 * obs::detail::kCounterCells;
+  util::TaskPool pool(kThreads);
+  pool.parallel_for_each(kThreads, [&](std::size_t) { counter.add(3); });
+  ASSERT_EQ(counter.value(), 3u * kThreads);
+  counter.reset();
+  EXPECT_EQ(counter.value(), 0u);
+  pool.parallel_for_each(kThreads, [&](std::size_t) { counter.add(); });
+  EXPECT_EQ(counter.value(), kThreads);
+}
+
 TEST(Trace, DisabledCollectorRecordsNothing) {
   auto& col = obs::TraceCollector::global();
   col.disable();

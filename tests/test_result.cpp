@@ -108,5 +108,15 @@ TEST(LoaderResults, ParseAndValidationCodesAreDistinguished) {
                ContractViolation);
 }
 
+// A bad CSV cell is located by row and column, and its text stays out
+// of the error: the file may be one the reader must not see.
+TEST(LoaderResults, CsvCellErrorsLocateWithoutQuoting) {
+  const auto bad = CsvDocument::parse_string_result("a,b\n1,2\n3,hidden\n");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.error().code, Errc::kParse);
+  EXPECT_EQ(bad.error().context, "row 3, column 2");
+  EXPECT_EQ(bad.error().to_string().find("hidden"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace voprof::util

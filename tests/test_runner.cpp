@@ -6,8 +6,11 @@
 #include <string>
 #include <vector>
 
+#include "voprof/core/trainer.hpp"
+#include "voprof/placement/evaluation.hpp"
 #include "voprof/scenario/scenario.hpp"
 #include "voprof/util/assert.hpp"
+#include "voprof/util/task_pool.hpp"
 
 namespace voprof::runner {
 namespace {
@@ -169,6 +172,39 @@ TEST(ReplicatedScenario, ReplicationsDifferFromEachOther) {
   const auto& sa = ra.reports.at(0).series("web");
   const auto& sb = rb.reports.at(0).series("web");
   EXPECT_NE(sa.io.stats().mean(), sb.io.stats().mean());
+}
+
+// The role demands are profiled lazily on first use. Four cells that
+// start together on a fresh evaluation must profile once and all see
+// what a serial evaluation computes.
+TEST(PlacementEvaluation, ConcurrentFirstCallsSeeSerialDemands) {
+  model::TrainerConfig trainer;
+  trainer.duration = util::seconds(5.0);
+  const model::TrainedModels models =
+      model::Trainer(trainer).train(model::RegressionMethod::kOls);
+  place::EvalConfig config;
+  config.repetitions = 1;
+  config.warmup = util::seconds(1.0);
+  config.run_duration = util::seconds(2.0);
+
+  const place::PlacementEvaluation serial(config, &models.multi);
+  const auto& expected = serial.role_demands();
+
+  const place::PlacementEvaluation fresh(config, &models.multi);
+  util::TaskPool pool(4);
+  const auto seen = pool.parallel_map(4, [&fresh](std::size_t i) {
+    (void)fresh.run_cell(static_cast<int>(i), i % 2 == 0);
+    return fresh.role_demands();
+  });
+  for (const auto& demands : seen) {
+    ASSERT_EQ(demands.size(), expected.size());
+    for (const auto& [role, d] : expected) {
+      EXPECT_EQ(demands.at(role).cpu, d.cpu);
+      EXPECT_EQ(demands.at(role).mem, d.mem);
+      EXPECT_EQ(demands.at(role).io, d.io);
+      EXPECT_EQ(demands.at(role).bw, d.bw);
+    }
+  }
 }
 
 }  // namespace

@@ -160,6 +160,18 @@ TEST(ScenarioRun, TraceVmReplaysCsv) {
               1.5);
 }
 
+TEST(ScenarioRun, UnreadableTraceIsATraceInputError) {
+  const auto spec = scenario::ScenarioSpec::parse(
+      "[cluster]\n[vm replay]\ntrace = /nonexistent/voprof.csv\n");
+  try {
+    (void)scenario::run_scenario(spec);
+    FAIL() << "expected TraceInputError";
+  } catch (const scenario::TraceInputError& e) {
+    EXPECT_EQ(e.error().code, util::Errc::kIo);
+    EXPECT_EQ(e.error().context, "[vm replay] trace");
+  }
+}
+
 TEST(ScenarioSpec, TraceAndLevelsExclusive) {
   EXPECT_THROW((void)scenario::ScenarioSpec::parse(
                    "[cluster]\n[vm a]\ncpu = 10\ntrace = x.csv\n"),

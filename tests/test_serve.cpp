@@ -241,6 +241,33 @@ TEST(Service, BadParamsAreBadRequests) {
   EXPECT_EQ(stats.completed, 0u);
 }
 
+// A simulate may name any file as a VM trace. When that file is not a
+// trace, the answer is bad_request naming the VM, row and column, and
+// no byte of the file comes back.
+TEST(Service, BadTraceFileIsBadRequestWithoutItsContent) {
+  const std::string marker = "voprof-secret-4c1e";
+  const std::string path = ::testing::TempDir() + "/voprof_serve_trace.csv";
+  {
+    std::ofstream f(path);
+    f << "vm_cpu,vm_io\n" << marker << ":x:0:0,1\n";
+  }
+  util::Json params = util::Json::object();
+  params.set("scenario", "[cluster]\n[vm replay]\ntrace = " + path +
+                             "\n[run]\nduration = 2\n");
+  util::Json request = util::Json::object();
+  request.set("op", "simulate");
+  request.set("params", std::move(params));
+
+  Service service(test_config());
+  const std::string line = service.handle_line(request.dump(0));
+  EXPECT_EQ(error_code_of(line), "bad_request");
+  EXPECT_EQ(line.find(marker), std::string::npos) << line;
+  const std::string message =
+      util::Json::parse(line).at("error").at("message").as_string();
+  EXPECT_NE(message.find("[vm replay]"), std::string::npos) << message;
+  EXPECT_NE(message.find("row 2, column 1"), std::string::npos) << message;
+}
+
 TEST(Service, SleepOpIsGatedBehindTestOps) {
   ServiceConfig config = test_config();
   config.enable_test_ops = false;
