@@ -3,8 +3,8 @@
 /// diurnal tenant workloads rise toward a midday peak, the hotspot
 /// controller watches the model-predicted host utilization, and live
 /// migrations rebalance the cluster when a host's *true* load (guests
-/// + Dom0 + hypervisor) crests. The xentrace-style log shows what the
-/// substrate did.
+/// + Dom0 + hypervisor) crests. The simulator's obs counters show what
+/// the substrate did (they read 0 in a -DVOPROF_OBS=OFF build).
 ///
 /// Run: ./cloud_operations [day_seconds]
 
@@ -13,13 +13,13 @@
 #include <iostream>
 #include <memory>
 
+#include "voprof/obs/metrics.hpp"
 #include "voprof/placement/hotspot.hpp"
 #include "voprof/util/table.hpp"
 #include "voprof/util/units.hpp"
 #include "voprof/voprof.hpp"
 #include "voprof/workloads/trace.hpp"
 #include "voprof/xensim/cluster.hpp"
-#include "voprof/xensim/tracelog.hpp"
 
 int main(int argc, char** argv) {
   using namespace voprof;
@@ -36,7 +36,15 @@ int main(int argc, char** argv) {
                "(packed tight on host 0/1)...\n";
   sim::Engine engine;
   sim::Cluster cluster(engine, sim::CostModel{}, 2026);
-  sim::TraceLog& trace = cluster.enable_tracing(16384);
+  // The registry counters are process-wide and training ticked
+  // machines too: the digest reports the change over the day.
+  auto& registry = obs::Registry::global();
+  obs::Counter& contention = registry.counter("machine.contention_episodes");
+  obs::Counter& disk_throttle = registry.counter("machine.disk_throttle_ticks");
+  obs::Counter& nic_throttle = registry.counter("machine.nic_throttle_ticks");
+  const std::uint64_t contention0 = contention.value();
+  const std::uint64_t disk_throttle0 = disk_throttle.value();
+  const std::uint64_t nic_throttle0 = nic_throttle.value();
   for (int i = 0; i < 3; ++i) cluster.add_machine(sim::MachineSpec{});
 
   // Tenants with staggered phases: some peak together at "midday".
@@ -94,16 +102,17 @@ int main(int argc, char** argv) {
     std::cout << "  (none needed)\n";
   }
 
-  std::cout << "\nxentrace digest (events recorded: "
-            << trace.total_recorded() << "):\n";
-  std::printf("  sched-contention: %zu\n",
-              trace.events_of(sim::TraceEventType::kSchedContention).size());
-  std::printf("  migrations:       %zu started, %zu finished\n",
-              trace.events_of(sim::TraceEventType::kMigrationStarted).size(),
-              trace.events_of(sim::TraceEventType::kMigrationFinished)
-                  .size());
-  std::printf("  vm lifecycle:     %zu created\n",
-              trace.events_of(sim::TraceEventType::kVmCreated).size());
+  std::cout << "\nsubstrate digest:\n";
+  std::printf("  contention episodes: %llu ended\n",
+              static_cast<unsigned long long>(contention.value() -
+                                              contention0));
+  std::printf("  throttled ticks:     %llu disk, %llu nic\n",
+              static_cast<unsigned long long>(disk_throttle.value() -
+                                              disk_throttle0),
+              static_cast<unsigned long long>(nic_throttle.value() -
+                                              nic_throttle0));
+  std::printf("  migrations:          %zu triggered\n",
+              controller.migrations_triggered());
 
   std::cout << "\nFinal layout: ";
   for (std::size_t i = 0; i < 3; ++i) {

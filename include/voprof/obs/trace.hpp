@@ -8,8 +8,9 @@
 ///    phases, runner tasks, TaskPool jobs, bench reps. Timestamps are
 ///    microseconds since the collector was enabled.
 ///  - sim time (pid kSimPid): when things happened inside the
-///    simulated cluster — contention episodes, migrations, TraceLog
-///    ring events. Timestamps are SimMicros verbatim.
+///    simulated cluster — VM lifecycle and migration instants, and
+///    contention/throttle episodes as spans. Timestamps are SimMicros
+///    verbatim.
 /// Both feed one TraceCollector; the exporter tags each event with its
 /// clock's pid so the viewer shows them as parallel tracks.
 ///
@@ -17,11 +18,14 @@
 /// record path is one relaxed atomic load and a branch; when the build
 /// has VOPROF_OBS off it is nothing at all. Enabling buffers events in
 /// memory under a mutex — tracing is an observation mode, not a hot
-/// path, and a scenario run emits thousands of events, not millions.
+/// path. The buffer holds at most kTraceEventCap events; later events
+/// are dropped and counted in `obs.trace_dropped`, which every written
+/// trace carries in its voprofMetrics.
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -54,6 +58,12 @@ inline constexpr int kSimPid = 2;
 /// Schema marker written into exported files; `voprofctl trace`
 /// refuses files without it rather than misreading foreign traces.
 inline constexpr const char* kTraceSchema = "voprof-trace-1";
+
+/// Most events one enabled collector buffers (about 6x the largest
+/// trace voprof's own workloads write). Past it record() drops the
+/// event and bumps the `obs.trace_dropped` counter, so a traced
+/// long-running process stays bounded in memory.
+inline constexpr std::size_t kTraceEventCap = 262144;
 
 /// One buffered trace event. Maps 1:1 onto a Chrome trace-event
 /// object: ph 'X' = complete span (ts+dur), 'i' = instant.
@@ -95,7 +105,9 @@ class TraceCollector {
   }
 
   /// Start collecting; events flush to `path` on write_file()/exit.
-  /// No-op (stays disabled) when the build has VOPROF_OBS off.
+  /// Clears the buffer and zeroes `obs.trace_dropped` (registering it,
+  /// so every written trace reports it). No-op (stays disabled) when
+  /// the build has VOPROF_OBS off.
   void enable(std::string path);
   /// Stop collecting and drop buffered events without writing.
   void disable();
@@ -114,7 +126,14 @@ class TraceCollector {
   [[nodiscard]] static std::uint64_t current_tid();
 
   /// Buffer one event. Safe from any thread; no-op when disabled.
+  /// Once kTraceEventCap events are buffered, drops it and counts it
+  /// in `obs.trace_dropped`.
   void record(TraceRecord rec);
+
+  /// Count one event that never reached record() (its emitter failed
+  /// to allocate) in `obs.trace_dropped`, which enable() registered.
+  /// Never throws, so destructors may call it.
+  void note_dropped() noexcept;
 
   /// Convenience emitters (all no-ops when disabled).
   void complete_wall(std::string cat, std::string name, std::int64_t ts_us,
@@ -125,14 +144,16 @@ class TraceCollector {
                     std::vector<std::pair<std::string, double>> args = {});
   void instant_sim(std::string cat, std::string name, std::int64_t ts_us,
                    std::uint64_t tid,
-                   std::vector<std::pair<std::string, std::string>> sargs = {});
+                   std::vector<std::pair<std::string, std::string>> sargs = {},
+                   std::vector<std::pair<std::string, double>> args = {});
 
   /// Full export: Chrome trace-event object with traceEvents (metadata
   /// + buffered events + one 'C' counter sample per registry metric),
   /// displayTimeUnit, plus voprof extras (schema, voprofMetrics).
   [[nodiscard]] util::Json to_json() const;
 
-  /// Write to_json() to path(); returns false (and keeps the buffer)
+  /// Write to_json() to path(), streaming the buffered events rather
+  /// than building the document; returns false (and keeps the buffer)
   /// on I/O failure. Disables the collector on success.
   bool write_file();
 
@@ -141,6 +162,11 @@ class TraceCollector {
   void clear();
 
  private:
+  /// The export piecewise: calls `emit` with each traceEvents entry in
+  /// order and returns the document's other members.
+  util::Json export_events(
+      const std::function<void(const util::Json&)>& emit) const;
+
   mutable std::mutex mutex_;
   std::atomic<bool> enabled_{false};
   bool env_checked_ = false;

@@ -64,13 +64,6 @@ class Cluster final : public TickListener {
   /// after migrations). Returns the hosting machine or nullptr.
   [[nodiscard]] PhysicalMachine* locate_vm(const std::string& vm_name) noexcept;
 
-  /// Enable xentrace-style event logging across the whole cluster
-  /// (all current and future machines plus the migration engine).
-  /// Returns the log; repeated calls return the same instance.
-  TraceLog& enable_tracing(std::size_t capacity = 4096);
-  /// The trace log, or nullptr when tracing is disabled.
-  [[nodiscard]] TraceLog* trace_log() noexcept { return trace_.get(); }
-
   void tick(util::SimMicros now, double dt) override;
 
  private:
@@ -80,7 +73,6 @@ class Cluster final : public TickListener {
   std::vector<std::unique_ptr<PhysicalMachine>> machines_;
   MigrationEngine migration_;
   NetworkFabric fabric_;
-  std::unique_ptr<TraceLog> trace_;
   double dropped_kbits_ = 0.0;
 };
 

@@ -19,10 +19,20 @@
 #include "voprof/xensim/domain.hpp"
 #include "voprof/xensim/scheduler.hpp"
 #include "voprof/xensim/spec.hpp"
-#include "voprof/xensim/tracelog.hpp"
 #include "voprof/xensim/vdisk.hpp"
 
+namespace voprof::obs {
+class Counter;
+}  // namespace voprof::obs
+
 namespace voprof::sim {
+
+/// Emit one simulator event (VM lifecycle, migration) into the global
+/// obs trace collector as a sim-clock instant on PM `pm_id`'s track,
+/// with `subject` (a VM name; omitted when empty) and `value` args.
+/// No-op, and builds nothing, when the collector is disabled.
+void trace_instant(const char* cat, const char* name, util::SimMicros time,
+                   int pm_id, const std::string& subject, double value);
 
 /// A flow leaving this PM for another PM or an external host.
 struct OutboundFlow {
@@ -42,6 +52,8 @@ class PhysicalMachine {
  public:
   PhysicalMachine(int id, MachineSpec spec, CostModel costs, util::Rng rng);
 
+  /// Closes any open contention/throttle episode at the last tick.
+  ~PhysicalMachine();
   PhysicalMachine(const PhysicalMachine&) = delete;
   PhysicalMachine& operator=(const PhysicalMachine&) = delete;
 
@@ -94,9 +106,6 @@ class PhysicalMachine {
     return throttled_nic_kbits_;
   }
 
-  /// Attach an xentrace-style event log (not owned; nullptr disables).
-  void set_trace_log(TraceLog* log) noexcept { trace_ = log; }
-
   /// Cumulative counters for every entity on this PM.
   [[nodiscard]] MachineSnapshot snapshot(util::SimMicros now) const;
 
@@ -118,6 +127,44 @@ class PhysicalMachine {
     std::unique_ptr<DomU> dom;
     double last_granted_pct = 0.0;
     double last_consumed_pct = 0.0;
+  };
+
+  /// A run of consecutive ticks on which one condition held (CPU
+  /// contention, disk or NIC throttling). Traced as one sim-clock span
+  /// from the first affected tick to the first clear one (or the
+  /// machine's last tick), carrying the condition's magnitude summed
+  /// over the run. Only opening and closing touch the collector.
+  class Episode {
+   public:
+    Episode(const char* cat, const char* name, const char* arg, int pm_id,
+            obs::Counter* closed = nullptr) noexcept
+        : cat_(cat), name_(name), arg_(arg), pm_id_(pm_id), closed_(closed) {}
+    /// Advance one tick ending at `now`. True when the tick is affected
+    /// and the episode is traced: the caller then add()s its magnitude.
+    bool tick(bool affected, util::SimMicros now) {
+      if (affected) {
+        if (begin_ < 0) open(now);
+        return traced_;
+      }
+      if (begin_ >= 0) close(now);
+      return false;
+    }
+    void add(double magnitude) noexcept { total_ += magnitude; }
+    /// End an open episode at `end`: emit its span on the PM's track
+    /// and count it in `closed`. No-op when no episode is open.
+    void close(util::SimMicros end);
+
+   private:
+    void open(util::SimMicros now);
+
+    const char* cat_;
+    const char* name_;
+    const char* arg_;  ///< name of the summed-magnitude span arg
+    int pm_id_;
+    obs::Counter* closed_;
+    util::SimMicros begin_ = -1;  ///< first affected tick; -1 when clear
+    bool traced_ = false;         ///< the collector was on at open
+    double total_ = 0.0;
   };
 
   /// An outbound flow awaiting the NIC-saturation verdict this tick.
@@ -150,12 +197,10 @@ class PhysicalMachine {
   double pending_dom0_rx_kbits_ = 0.0;
   double throttled_disk_blocks_ = 0.0;
   double throttled_nic_kbits_ = 0.0;
-  TraceLog* trace_ = nullptr;
   util::SimMicros last_now_ = 0;
-  // Sim time when the current CPU-contention episode began, or -1 when
-  // the scheduler is currently satisfying everyone. Drives the
-  // "scheduler/contention" sim-clock spans in the obs trace.
-  util::SimMicros contention_begin_ = -1;
+  Episode contention_;
+  Episode disk_throttle_;
+  Episode nic_throttle_;
 
   // Per-tick scratch buffers, reused across ticks so the steady-state
   // tick makes no allocations. demands_ holds pointers into each

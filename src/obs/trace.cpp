@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 
 namespace voprof::obs {
 
@@ -15,6 +16,12 @@ std::int64_t steady_us() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+/// Events record() refused because the buffer held kTraceEventCap.
+Counter& dropped_events() {
+  static Counter& dropped = Registry::global().counter("obs.trace_dropped");
+  return dropped;
 }
 
 util::Json args_to_json(const TraceRecord& rec) {
@@ -91,6 +98,7 @@ void TraceCollector::enable(std::string path) {
   path_ = std::move(path);
   epoch_us_ = steady_us();
   events_.clear();
+  dropped_events().reset();
   enabled_.store(true, std::memory_order_relaxed);
 }
 
@@ -141,8 +149,14 @@ void TraceCollector::record(TraceRecord rec) {
     return;
   }
   std::lock_guard<std::mutex> lock(mutex_);
+  if (events_.size() >= kTraceEventCap) {
+    note_dropped();
+    return;
+  }
   events_.push_back(std::move(rec));
 }
+
+void TraceCollector::note_dropped() noexcept { dropped_events().add(); }
 
 void TraceCollector::complete_wall(
     std::string cat, std::string name, std::int64_t ts_us, std::int64_t dur_us,
@@ -182,7 +196,8 @@ void TraceCollector::complete_sim(
 
 void TraceCollector::instant_sim(
     std::string cat, std::string name, std::int64_t ts_us, std::uint64_t tid,
-    std::vector<std::pair<std::string, std::string>> sargs) {
+    std::vector<std::pair<std::string, std::string>> sargs,
+    std::vector<std::pair<std::string, double>> args) {
   if (!enabled()) {
     return;
   }
@@ -193,20 +208,21 @@ void TraceCollector::instant_sim(
   rec.name = std::move(name);
   rec.ts_us = ts_us;
   rec.tid = tid;
+  rec.args = std::move(args);
   rec.sargs = std::move(sargs);
   record(std::move(rec));
 }
 
-util::Json TraceCollector::to_json() const {
-  util::Json events = util::Json::array();
-  events.push_back(metadata_event(kWallPid, "wall clock"));
-  events.push_back(metadata_event(kSimPid, "sim clock"));
+util::Json TraceCollector::export_events(
+    const std::function<void(const util::Json&)>& emit) const {
+  emit(metadata_event(kWallPid, "wall clock"));
+  emit(metadata_event(kSimPid, "sim clock"));
 
   std::int64_t counter_ts = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     for (const auto& rec : events_) {
-      events.push_back(record_to_json(rec));
+      emit(record_to_json(rec));
       if (rec.clock == Clock::kWall) {
         counter_ts = std::max(counter_ts, rec.ts_us + rec.dur_us);
       }
@@ -229,7 +245,7 @@ util::Json TraceCollector::to_json() const {
     util::Json cargs = util::Json::object();
     cargs.set("value", entry.value);
     c.set("args", cargs);
-    events.push_back(c);
+    emit(c);
 
     util::Json m = util::Json::object();
     m.set("kind", entry.kind);
@@ -251,11 +267,22 @@ util::Json TraceCollector::to_json() const {
     metrics.set(entry.name, m);
   }
 
+  util::Json rest = util::Json::object();
+  rest.set("displayTimeUnit", "ms");
+  rest.set("schema", kTraceSchema);
+  rest.set("voprofMetrics", metrics);
+  return rest;
+}
+
+util::Json TraceCollector::to_json() const {
+  util::Json events = util::Json::array();
+  const util::Json rest =
+      export_events([&events](const util::Json& e) { events.push_back(e); });
   util::Json doc = util::Json::object();
   doc.set("traceEvents", events);
-  doc.set("displayTimeUnit", "ms");
-  doc.set("schema", kTraceSchema);
-  doc.set("voprofMetrics", metrics);
+  for (const auto& [key, value] : rest.as_object()) {
+    doc.set(key, value);
+  }
   return doc;
 }
 
@@ -268,12 +295,27 @@ bool TraceCollector::write_file() {
   if (out_path.empty()) {
     return false;
   }
-  const std::string text = to_json().dump(0);
   std::ofstream out(out_path);
   if (!out) {
     return false;
   }
-  out << text << '\n';
+  // Stream the events one at a time, in the exact text of
+  // to_json().dump(0): a full buffer as one DOM costs several times
+  // the buffer itself.
+  out << "{\"traceEvents\":[";
+  bool first = true;
+  const util::Json rest = export_events([&](const util::Json& e) {
+    if (!first) {
+      out << ',';
+    }
+    first = false;
+    out << e.dump(0);
+  });
+  out << ']';
+  for (const auto& [key, value] : rest.as_object()) {
+    out << ',' << util::Json(key).dump(0) << ':' << value.dump(0);
+  }
+  out << "}\n";
   if (!out.good()) {
     return false;
   }

@@ -29,6 +29,34 @@ struct MachineMetrics {
 
 }  // namespace
 
+void trace_instant(const char* cat, const char* name, util::SimMicros time,
+                   int pm_id, const std::string& subject, double value) {
+  auto& collector = obs::TraceCollector::global();
+  if (!collector.enabled()) return;
+  std::vector<std::pair<std::string, std::string>> sargs;
+  if (!subject.empty()) sargs.emplace_back("subject", subject);
+  collector.instant_sim(cat, name, time, static_cast<std::uint64_t>(pm_id),
+                        std::move(sargs), {{"value", value}});
+}
+
+void PhysicalMachine::Episode::open(util::SimMicros now) {
+  begin_ = now;
+  traced_ = obs::TraceCollector::global().enabled();
+  total_ = 0.0;
+}
+
+void PhysicalMachine::Episode::close(util::SimMicros end) {
+  if (begin_ < 0) return;
+  if (closed_ != nullptr) closed_->add();
+  auto& collector = obs::TraceCollector::global();
+  if (traced_ && collector.enabled()) {
+    collector.complete_sim(cat_, name_, begin_, end - begin_,
+                           static_cast<std::uint64_t>(pm_id_),
+                           {{arg_, total_}});
+  }
+  begin_ = -1;
+}
+
 PhysicalMachine::PhysicalMachine(int id, MachineSpec spec, CostModel costs,
                                  util::Rng rng)
     : id_(id),
@@ -39,7 +67,23 @@ PhysicalMachine::PhysicalMachine(int id, MachineSpec spec, CostModel costs,
       scheduler_(spec.guest_cpu_capacity_pct(),
                  costs.multi_vm_sched_efficiency),
       micro_scheduler_(spec.guest_cores, costs.multi_vm_sched_efficiency),
-      vdisk_(VDiskGeometry{}, rng_.split().bits()) {}
+      vdisk_(VDiskGeometry{}, rng_.split().bits()),
+      contention_("scheduler", "contention", "unmet_cpu_pct_s", id,
+                  &MachineMetrics::get().contention_episodes),
+      disk_throttle_("device", "disk-throttled", "throttled_blocks", id),
+      nic_throttle_("device", "nic-throttled", "throttled_kbits", id) {}
+
+PhysicalMachine::~PhysicalMachine() {
+  // Closing builds span args. An allocation failure must not escape a
+  // destructor: it costs the spans, counted as dropped.
+  try {
+    contention_.close(last_now_);
+    disk_throttle_.close(last_now_);
+    nic_throttle_.close(last_now_);
+  } catch (...) {
+    obs::TraceCollector::global().note_dropped();
+  }
+}
 
 DomU& PhysicalMachine::add_vm(VmSpec vm_spec) {
   VOPROF_REQUIRE_MSG(find_vm(vm_spec.name) == nullptr,
@@ -47,10 +91,8 @@ DomU& PhysicalMachine::add_vm(VmSpec vm_spec) {
   GuestState st;
   st.dom = std::make_unique<DomU>(std::move(vm_spec));
   guests_.push_back(std::move(st));
-  if (trace_ != nullptr) {
-    trace_->record({last_now_, TraceEventType::kVmCreated, id_,
-                    guests_.back().dom->name(), 0.0});
-  }
+  trace_instant("vm", "vm-created", last_now_, id_,
+                guests_.back().dom->name(), 0.0);
   return *guests_.back().dom;
 }
 
@@ -59,10 +101,7 @@ bool PhysicalMachine::remove_vm(const std::string& name) {
       guests_.begin(), guests_.end(),
       [&name](const GuestState& g) { return g.dom->name() == name; });
   if (it == guests_.end()) return false;
-  if (trace_ != nullptr) {
-    trace_->record(
-        {last_now_, TraceEventType::kVmRemoved, id_, name, 0.0});
-  }
+  trace_instant("vm", "vm-removed", last_now_, id_, name, 0.0);
   guests_.erase(it);
   return true;
 }
@@ -197,29 +236,16 @@ void PhysicalMachine::tick(util::SimMicros now, double dt) {
     scheduler_.allocate_into(requests, sched_);
   }
   const SchedResult& sched = sched_;
-  if (trace_ != nullptr && sched.contended) {
+  // Contention episodes: the scheduler failed to satisfy aggregate
+  // demand; magnitude is the unmet CPU in %-seconds.
+  if (contention_.tick(sched.contended, now)) {
     double unmet = 0.0;
     for (std::size_t i = 0; i < requests.size(); ++i) {
       unmet += std::max(0.0, std::min(requests[i].demand_pct,
                                       requests[i].cap_pct) -
                                  sched.granted_pct[i]);
     }
-    trace_->record(
-        {now, TraceEventType::kSchedContention, id_, "", unmet});
-  }
-
-  // Contention episodes as sim-clock spans: open when the scheduler
-  // first fails to satisfy aggregate demand, close on the first
-  // satisfied tick. An episode still open at the end of a run is
-  // dropped (the trace has the per-tick ring events regardless).
-  if (sched.contended && contention_begin_ < 0) {
-    contention_begin_ = now;
-  } else if (!sched.contended && contention_begin_ >= 0) {
-    MachineMetrics::get().contention_episodes.add();
-    obs::TraceCollector::global().complete_sim(
-        "scheduler", "contention", contention_begin_, now - contention_begin_,
-        static_cast<std::uint64_t>(id_));
-    contention_begin_ = -1;
+    contention_.add(unmet * dt);
   }
 
   // ---- 4a. First pass: CPU grants and activity generation. ------------
@@ -263,10 +289,9 @@ void PhysicalMachine::tick(util::SimMicros now, double dt) {
     if (disk_scale < 1.0) {
       MachineMetrics::get().disk_throttle_ticks.add();
     }
-    if (trace_ != nullptr && disk_scale < 1.0) {
-      trace_->record({now, TraceEventType::kDiskThrottled, id_, "",
-                      blocks_wanted_total * (1.0 - disk_scale)});
-    }
+  }
+  if (disk_throttle_.tick(disk_scale < 1.0, now)) {
+    disk_throttle_.add(blocks_wanted_total * (1.0 - disk_scale));
   }
 
   double guest_blocks_total = 0.0;
@@ -328,10 +353,9 @@ void PhysicalMachine::tick(util::SimMicros now, double dt) {
     if (nic_scale < 1.0) {
       MachineMetrics::get().nic_throttle_ticks.add();
     }
-    if (trace_ != nullptr && nic_scale < 1.0) {
-      trace_->record({now, TraceEventType::kNicThrottled, id_, "",
-                      outbound_kbits * (1.0 - nic_scale)});
-    }
+  }
+  if (nic_throttle_.tick(nic_scale < 1.0, now)) {
+    nic_throttle_.add(outbound_kbits * (1.0 - nic_scale));
   }
   double outbound_sent = 0.0;
   for (std::size_t i = 0; i < pending_out.size(); ++i) {

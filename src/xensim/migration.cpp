@@ -42,10 +42,8 @@ int MigrationEngine::start(const std::string& vm_name, int from_pm,
       mib_to_kbits(vm->counters().mem_mib) * (1.0 + config.dirty_factor);
   st.started = cluster_.engine().now();
   const int id = static_cast<int>(status_.size());
-  if (TraceLog* log = cluster_.trace_log()) {
-    log->record({st.started, TraceEventType::kMigrationStarted, from_pm,
-                 vm_name, st.total_kbits});
-  }
+  trace_instant("migration", "migration-started", st.started, from_pm,
+                vm_name, st.total_kbits);
   status_.push_back(st);
   active_.push_back(Active{id, config});
   return id;
@@ -71,10 +69,8 @@ void MigrationEngine::tick(util::SimMicros now, double dt) {
       st.failed = true;
       st.done = true;
       st.finished = now;
-      if (TraceLog* log = cluster_.trace_log()) {
-        log->record({now, TraceEventType::kMigrationFailed, st.from_pm,
-                     st.vm_name, st.sent_kbits});
-      }
+      trace_instant("migration", "migration-failed", now, st.from_pm,
+                    st.vm_name, st.sent_kbits);
       active_.erase(active_.begin() + static_cast<long>(i));
       continue;
     }
@@ -96,10 +92,8 @@ void MigrationEngine::tick(util::SimMicros now, double dt) {
       dst->adopt_vm(std::move(moved));
       st.done = true;
       st.finished = now;
-      if (TraceLog* log = cluster_.trace_log()) {
-        log->record({now, TraceEventType::kMigrationFinished, st.to_pm,
-                     st.vm_name, st.total_kbits});
-      }
+      trace_instant("migration", "migration-finished", now, st.to_pm,
+                    st.vm_name, st.total_kbits);
       const int finished_id = a.id;
       active_.erase(active_.begin() + static_cast<long>(i));
       if (on_complete_) on_complete_(finished_id);

@@ -1,23 +1,28 @@
 // Observability layer: metric registry semantics, lock-free writer
 // correctness under a real TaskPool fan-out (the TSan job runs this
-// binary via `ctest -L concurrency`), and the Chrome-trace exporter —
+// binary via `ctest -L concurrency`), the Chrome-trace exporter —
 // whose output must round-trip through util::Json and carry the
-// voprof-trace-1 schema the trace tooling validates.
+// voprof-trace-1 schema the trace tooling validates — the collector's
+// event cap, and the simulator events it receives on the sim clock.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "voprof/obs/metrics.hpp"
 #include "voprof/obs/trace.hpp"
+#include "voprof/scenario/scenario.hpp"
 #include "voprof/util/assert.hpp"
 #include "voprof/util/json.hpp"
 #include "voprof/util/task_pool.hpp"
+#include "voprof/workloads/hogs.hpp"
+#include "voprof/xensim/cluster.hpp"
 
 namespace {
 
@@ -33,6 +38,25 @@ std::string slurp(const std::string& path) {
   std::ostringstream os;
   os << f.rdbuf();
   return os.str();
+}
+
+/// The events of a collector export named `name`, in buffer order.
+std::vector<util::Json> events_named(const util::Json& doc,
+                                     const std::string& name) {
+  std::vector<util::Json> out;
+  for (const util::Json& e : doc.at("traceEvents").as_array()) {
+    if (e.at("name").as_string() == name) out.push_back(e);
+  }
+  return out;
+}
+
+double trace_dropped(const util::Json& doc) {
+  return doc.at("voprofMetrics").at("obs.trace_dropped").at("value")
+      .as_number();
+}
+
+double span_end(const util::Json& e) {
+  return e.at("ts").as_number() + e.at("dur").as_number();
 }
 
 TEST(Metrics, CounterCountsAndResets) {
@@ -244,10 +268,14 @@ TEST(Trace, ExportedJsonIsValidAndTagged) {
   { VOPROF_WALL_SPAN("testcat", "scoped"); }
   EXPECT_EQ(col.size(), 4u);
 
+  const std::string expected = col.to_json().dump(0) + "\n";
   ASSERT_TRUE(col.write_file());
   EXPECT_FALSE(col.enabled());  // flushing disables
 
-  const util::Json doc = util::Json::parse(slurp(path));
+  // The streamed file is byte for byte the in-memory document.
+  const std::string text = slurp(path);
+  EXPECT_EQ(text, expected);
+  const util::Json doc = util::Json::parse(text);
   EXPECT_EQ(doc.at("schema").as_string(), obs::kTraceSchema);
   EXPECT_EQ(doc.at("displayTimeUnit").as_string(), "ms");
   const auto& events = doc.at("traceEvents").as_array();
@@ -328,6 +356,238 @@ TEST(Trace, WallClockIsMonotonic) {
     EXPECT_EQ(a, 0);
     EXPECT_EQ(b, 0);
   }
+}
+
+TEST(TraceConcurrency, CapDropsAndCountsOverflow) {
+  if constexpr (!obs::kObsCompiled) {
+    GTEST_SKIP() << "observability compiled out (VOPROF_OBS=OFF)";
+  }
+
+  auto& col = obs::TraceCollector::global();
+  const std::string path = temp_path("test_obs_trace_cap.json");
+  col.enable(path);
+  constexpr std::size_t kTasks = 4;
+  constexpr std::size_t kOver = 100;
+  // Each task also leaves one taskpool span, so the pool records
+  // exactly kTraceEventCap + kOver events.
+  constexpr std::size_t kPerTask = (obs::kTraceEventCap + kOver) / kTasks - 1;
+  static_assert(kTasks * (kPerTask + 1) == obs::kTraceEventCap + kOver);
+  {
+    // Leaving the scope joins the workers: a worker records its task
+    // span after the task's future is ready.
+    util::TaskPool pool(kTasks);
+    pool.parallel_for_each(kTasks, [&](std::size_t) {
+      for (std::size_t i = 0; i < kPerTask; ++i) {
+        col.complete_wall("t", "s", 0, 1);
+      }
+    });
+  }
+  EXPECT_EQ(col.size(), obs::kTraceEventCap);
+  EXPECT_EQ(obs::Registry::global().counter("obs.trace_dropped").value(),
+            kOver);
+
+  ASSERT_TRUE(col.write_file());
+  // Read the count back from the file's voprofMetrics without parsing
+  // a quarter-million events.
+  const std::string text = slurp(path);
+  const std::size_t at = text.rfind("\"obs.trace_dropped\":{");
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t open = text.find('{', at);
+  const util::Json dropped =
+      util::Json::parse(text.substr(open, text.find('}', open) - open + 1));
+  EXPECT_EQ(dropped.at("value").as_number(), static_cast<double>(kOver));
+  std::remove(path.c_str());
+
+  // Enabling again starts a fresh, empty trace.
+  col.enable(path);
+  EXPECT_EQ(obs::Registry::global().counter("obs.trace_dropped").value(), 0u);
+  col.disable();
+}
+
+TEST(SimTracing, LifecycleInstantsAndContentionEpisode) {
+  if constexpr (!obs::kObsCompiled) {
+    GTEST_SKIP() << "observability compiled out (VOPROF_OBS=OFF)";
+  }
+
+  auto& col = obs::TraceCollector::global();
+  col.enable(temp_path("test_obs_sim_lifecycle.json"));
+  {
+    sim::Engine engine;
+    sim::Cluster cluster(engine, sim::CostModel{}, 3);
+    sim::PhysicalMachine& pm = cluster.add_machine(sim::MachineSpec{});
+    for (int i = 0; i < 3; ++i) {
+      sim::VmSpec spec;
+      spec.name = "vm" + std::to_string(i);
+      pm.add_vm(spec).attach(std::make_unique<wl::CpuHog>(
+          100.0, 5 + static_cast<std::uint64_t>(i)));
+    }
+    // 3 x 100 % on the 190 % pool: contention on every tick.
+    engine.run_for(util::seconds(1));
+    pm.remove_vm("vm0");
+  }  // teardown closes the still-open contention episode
+  const util::Json doc = col.to_json();
+  col.disable();
+
+  const auto created = events_named(doc, "vm-created");
+  ASSERT_EQ(created.size(), 3u);
+  for (std::size_t i = 0; i < created.size(); ++i) {
+    EXPECT_EQ(created[i].at("cat").as_string(), "vm");
+    EXPECT_EQ(created[i].at("ph").as_string(), "i");
+    EXPECT_EQ(created[i].at("pid").as_number(), obs::kSimPid);
+    EXPECT_EQ(created[i].at("tid").as_number(), 0.0);
+    EXPECT_EQ(created[i].at("args").at("subject").as_string(),
+              "vm" + std::to_string(i));
+  }
+  const auto removed = events_named(doc, "vm-removed");
+  ASSERT_EQ(removed.size(), 1u);
+  EXPECT_EQ(removed[0].at("args").at("subject").as_string(), "vm0");
+  EXPECT_EQ(removed[0].at("ts").as_number(), 1e6);
+
+  const auto contention = events_named(doc, "contention");
+  ASSERT_EQ(contention.size(), 1u);
+  EXPECT_EQ(contention[0].at("cat").as_string(), "scheduler");
+  EXPECT_EQ(contention[0].at("ph").as_string(), "X");
+  EXPECT_EQ(contention[0].at("pid").as_number(), obs::kSimPid);
+  EXPECT_EQ(span_end(contention[0]), 1e6);
+  // About 300 - 190 = 110 % unmet for one second.
+  EXPECT_NEAR(contention[0].at("args").at("unmet_cpu_pct_s").as_number(),
+              110.0, 11.0);
+  EXPECT_TRUE(events_named(doc, "sched-contention").empty());
+}
+
+TEST(SimTracing, MigrationInstantsCarrySubject) {
+  if constexpr (!obs::kObsCompiled) {
+    GTEST_SKIP() << "observability compiled out (VOPROF_OBS=OFF)";
+  }
+
+  auto& col = obs::TraceCollector::global();
+  col.enable(temp_path("test_obs_sim_migration.json"));
+  {
+    sim::Engine engine;
+    sim::Cluster cluster(engine, sim::CostModel{}, 7);
+    sim::PhysicalMachine& pm0 = cluster.add_machine(sim::MachineSpec{});
+    cluster.add_machine(sim::MachineSpec{});
+    sim::VmSpec spec;
+    spec.name = "vm1";
+    pm0.add_vm(spec);
+    (void)cluster.migration().start("vm1", 0, 1);
+    engine.run_for(util::seconds(30));
+  }
+  const util::Json doc = col.to_json();
+  col.disable();
+
+  const auto started = events_named(doc, "migration-started");
+  const auto finished = events_named(doc, "migration-finished");
+  ASSERT_EQ(started.size(), 1u);
+  ASSERT_EQ(finished.size(), 1u);
+  EXPECT_EQ(started[0].at("cat").as_string(), "migration");
+  EXPECT_EQ(finished[0].at("cat").as_string(), "migration");
+  EXPECT_EQ(started[0].at("args").at("subject").as_string(), "vm1");
+  EXPECT_EQ(finished[0].at("args").at("subject").as_string(), "vm1");
+  EXPECT_EQ(started[0].at("tid").as_number(), 0.0);   // source PM
+  EXPECT_EQ(finished[0].at("tid").as_number(), 1.0);  // destination PM
+  EXPECT_GT(started[0].at("args").at("value").as_number(), 0.0);
+  EXPECT_EQ(finished[0].at("args").at("value").as_number(),
+            started[0].at("args").at("value").as_number());
+  EXPECT_LT(started[0].at("ts").as_number(), finished[0].at("ts").as_number());
+}
+
+TEST(SimTracing, DiskThrottleEpisode) {
+  if constexpr (!obs::kObsCompiled) {
+    GTEST_SKIP() << "observability compiled out (VOPROF_OBS=OFF)";
+  }
+
+  obs::Counter& throttle_ticks =
+      obs::Registry::global().counter("machine.disk_throttle_ticks");
+  const std::uint64_t ticks_before = throttle_ticks.value();
+  auto& col = obs::TraceCollector::global();
+  col.enable(temp_path("test_obs_sim_throttle.json"));
+  {
+    sim::Engine engine;
+    sim::Cluster cluster(engine, sim::CostModel{}, 11);
+    sim::MachineSpec tiny;
+    tiny.disk_blocks_per_s = 100.0;
+    sim::PhysicalMachine& pm = cluster.add_machine(tiny);
+    sim::VmSpec spec;
+    spec.name = "vm1";
+    pm.add_vm(spec).attach(std::make_unique<wl::IoHog>(80.0, 13));
+    engine.run_for(util::seconds(5));
+  }
+  const util::Json doc = col.to_json();
+  col.disable();
+
+  const std::uint64_t ticks = throttle_ticks.value() - ticks_before;
+  EXPECT_GE(ticks, 10u);
+  const auto spans = events_named(doc, "disk-throttled");
+  ASSERT_GE(spans.size(), 1u);
+  EXPECT_LE(spans.size(), ticks);  // an episode spans at least one tick
+  for (const util::Json& e : spans) {
+    EXPECT_EQ(e.at("cat").as_string(), "device");
+    EXPECT_EQ(e.at("ph").as_string(), "X");
+    EXPECT_EQ(e.at("pid").as_number(), obs::kSimPid);
+    EXPECT_GT(e.at("args").at("throttled_blocks").as_number(), 0.0);
+  }
+}
+
+TEST(SimTracing, DisabledCollectorUntouched) {
+  auto& col = obs::TraceCollector::global();
+  col.disable();
+  sim::Engine engine;
+  auto cluster = std::make_unique<sim::Cluster>(engine, sim::CostModel{}, 13);
+  sim::PhysicalMachine& pm = cluster->add_machine(sim::MachineSpec{});
+  cluster->add_machine(sim::MachineSpec{});
+  for (int i = 0; i < 3; ++i) {
+    sim::VmSpec spec;
+    spec.name = "vm" + std::to_string(i);
+    pm.add_vm(spec).attach(std::make_unique<wl::CpuHog>(100.0));
+  }
+  (void)cluster->migration().start("vm0", 0, 1);
+  engine.run_for(util::seconds(1));
+  // The contention episode opened while tracing was off: it stays
+  // untraced even though the collector is on when it closes.
+  col.enable(temp_path("test_obs_sim_disabled.json"));
+  cluster.reset();
+  EXPECT_EQ(col.size(), 0u);
+  col.disable();
+}
+
+TEST(SimTracing, ContendedScenarioTraceIsCompleteAndBounded) {
+  if constexpr (!obs::kObsCompiled) {
+    GTEST_SKIP() << "observability compiled out (VOPROF_OBS=OFF)";
+  }
+
+  // Three VMs at 99 % CPU on one PM: contended on every one of the
+  // 6,500 ticks, more than any per-tick event ring would keep.
+  scenario::ScenarioSpec spec;
+  spec.warmup_s = 5.0;
+  spec.duration_s = 60.0;
+  for (int i = 1; i <= 3; ++i) {
+    scenario::ScenarioSpec::VmEntry vm;
+    vm.name = "vm" + std::to_string(i);
+    vm.cpu_pct = 99.0;
+    spec.vms.push_back(vm);
+  }
+  spec.monitored_machines.push_back(0);
+  auto& col = obs::TraceCollector::global();
+  col.enable(temp_path("test_obs_sim_contended.json"));
+  (void)scenario::run_scenario(spec);
+  const util::Json doc = col.to_json();
+  col.disable();
+
+  EXPECT_EQ(events_named(doc, "vm-created").size(), 3u);
+  std::vector<util::Json> episodes;
+  for (const util::Json& e : events_named(doc, "contention")) {
+    if (e.at("cat").as_string() == "scheduler" &&
+        e.at("ph").as_string() == "X" &&
+        e.at("pid").as_number() == obs::kSimPid) {
+      episodes.push_back(e);
+    }
+  }
+  ASSERT_EQ(episodes.size(), 1u);
+  EXPECT_LE(episodes[0].at("ts").as_number(), 1e6);
+  EXPECT_EQ(span_end(episodes[0]), 65e6);
+  EXPECT_TRUE(events_named(doc, "sched-contention").empty());
+  EXPECT_EQ(trace_dropped(doc), 0.0);
 }
 
 }  // namespace

@@ -113,6 +113,15 @@ TEST(TraceTool, SummaryAndTopRender) {
   EXPECT_NE(all.find("SweepRunner.map"), std::string::npos);
 }
 
+TEST(TraceTool, SummaryReportsDroppedEvents) {
+  const tools::TraceSummary s = tools::summarize_trace(util::Json::parse(
+      R"({"schema":"voprof-trace-1","traceEvents":[],"voprofMetrics":)"
+      R"({"obs.trace_dropped":{"kind":"counter","value":7}}})"));
+  EXPECT_EQ(s.dropped, 7.0);
+  EXPECT_NE(tools::format_trace_summary(s).find("7 dropped"),
+            std::string::npos);
+}
+
 TEST(TraceTool, ExportCsvHasHeaderAndAllSpanRows) {
   if constexpr (!obs::kObsCompiled) {
     GTEST_SKIP() << "observability compiled out (VOPROF_OBS=OFF)";

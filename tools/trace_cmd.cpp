@@ -84,6 +84,9 @@ TraceSummary summarize_trace(const util::Json& doc) {
   const util::Json* metrics = doc.find("voprofMetrics");
   if (metrics != nullptr && metrics->is_object()) {
     out.metric_count = static_cast<int>(metrics->as_object().size());
+    if (const util::Json* dropped = metrics->find("obs.trace_dropped")) {
+      out.dropped = number_or(*dropped, "value", 0.0);
+    }
   }
 
   out.categories.reserve(cats.size());
@@ -108,7 +111,8 @@ TraceSummary summarize_trace_file(const std::string& path) {
 std::string format_trace_summary(const TraceSummary& s) {
   util::AsciiTable t("trace summary (" + std::to_string(s.total_events) +
                      " events, " + std::to_string(s.metric_count) +
-                     " metrics)");
+                     " metrics, " + util::fmt(s.dropped, 0) +
+                     " dropped)");
   t.set_header({"category", "spans", "instants", "counters", "wall(ms)",
                 "sim(ms)"});
   for (const TraceCategoryStats& c : s.categories) {

@@ -37,6 +37,9 @@ struct TraceSummary {
   std::string schema;
   int total_events = 0;   ///< traceEvents entries, metadata included
   int metric_count = 0;   ///< entries in the embedded voprofMetrics
+  /// Events the collector dropped at its cap (voprofMetrics
+  /// `obs.trace_dropped`; 0 when absent).
+  double dropped = 0.0;
   /// Sorted by category name.
   std::vector<TraceCategoryStats> categories;
   /// Sorted by total (wall + sim) time, busiest first.
