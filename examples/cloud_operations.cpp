@@ -4,7 +4,7 @@
 /// controller watches the model-predicted host utilization, and live
 /// migrations rebalance the cluster when a host's *true* load (guests
 /// + Dom0 + hypervisor) crests. The simulator's obs counters show what
-/// the substrate did (they read 0 in a -DVOPROF_OBS=OFF build).
+/// the substrate did.
 ///
 /// Run: ./cloud_operations [day_seconds]
 

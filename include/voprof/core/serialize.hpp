@@ -30,7 +30,7 @@ namespace voprof::model {
 void save_models(const TrainedModels& models, std::ostream& os);
 [[nodiscard]] std::string models_to_string(const TrainedModels& models);
 
-/// Primary, non-throwing deserialization. Errors carry Errc::kParse
+/// Non-throwing deserialization. Errors carry Errc::kParse
 /// (malformed records), Errc::kUnsupported (unknown format version) or
 /// Errc::kIo (unreadable file). The TrainingSet inside the returned
 /// TrainedModels is empty (only coefficients are persisted).
@@ -41,13 +41,7 @@ void save_models(const TrainedModels& models, std::ostream& os);
 [[nodiscard]] util::Result<TrainedModels> load_models_file_result(
     const std::string& path);
 
-/// Throwing shims over the *_result API (throw ContractViolation).
-[[nodiscard]] TrainedModels load_models(std::istream& is);
-[[nodiscard]] TrainedModels models_from_string(const std::string& text);
-
-/// File-path conveniences.
 void save_models_file(const TrainedModels& models, const std::string& path);
-[[nodiscard]] TrainedModels load_models_file(const std::string& path);
 
 // --- Heterogeneous (typed) model -------------------------------------
 void save_hetero_model(const HeteroModel& model, std::ostream& os);

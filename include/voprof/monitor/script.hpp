@@ -65,7 +65,7 @@ class MeasurementReport {
 /// Export a report's full synchronized time series as CSV: one row per
 /// sample, columns t_s plus <entity>_{cpu,mem,io,bw} for every entity
 /// (the format the paper's measurement script logged, and what
-/// wl::trace_from_csv consumes back, with prefix "<entity>_").
+/// wl::trace_from_csv_result consumes back, with prefix "<entity>_").
 [[nodiscard]] util::CsvDocument report_to_csv(const MeasurementReport& report);
 
 /// Configuration of the measurement run.

@@ -14,10 +14,6 @@
 /// thread. Snapshots are taken on demand and are only guaranteed to be
 /// exact once concurrent writers have quiesced (e.g. after a TaskPool
 /// join) — the reader never blocks a writer either way.
-///
-/// Zero-cost when disabled: building with -DVOPROF_OBS=OFF compiles
-/// every write path to nothing (kObsCompiled folds to false below), so
-/// the hot loops carry no atomics at all.
 
 #include <array>
 #include <atomic>
@@ -30,12 +26,6 @@
 #include <vector>
 
 namespace voprof::obs {
-
-#if defined(VOPROF_OBS) && VOPROF_OBS
-inline constexpr bool kObsCompiled = true;
-#else
-inline constexpr bool kObsCompiled = false;
-#endif
 
 namespace detail {
 
@@ -64,12 +54,8 @@ inline constexpr std::size_t kCounterCells = 16;
 class Counter {
  public:
   void add(std::uint64_t n = 1) noexcept {
-    if constexpr (kObsCompiled) {
-      cells_[detail::this_thread_counter_cell()].value.fetch_add(
-          n, std::memory_order_relaxed);
-    } else {
-      (void)n;
-    }
+    cells_[detail::this_thread_counter_cell()].value.fetch_add(
+        n, std::memory_order_relaxed);
   }
   [[nodiscard]] std::uint64_t value() const noexcept {
     std::uint64_t sum = 0;
@@ -94,24 +80,13 @@ class Counter {
 /// Last-written (or high-water) double value.
 class Gauge {
  public:
-  void set(double v) noexcept {
-    if constexpr (kObsCompiled) {
-      value_.store(v, std::memory_order_relaxed);
-    } else {
-      (void)v;
-    }
-  }
+  void set(double v) noexcept { value_.store(v, std::memory_order_relaxed); }
   /// Raise the gauge to `v` if larger (high-water mark, e.g. max heap
   /// depth). Lock-free CAS; no-op once the mark is reached.
   void set_max(double v) noexcept {
-    if constexpr (kObsCompiled) {
-      double cur = value_.load(std::memory_order_relaxed);
-      while (v > cur &&
-             !value_.compare_exchange_weak(cur, v,
-                                           std::memory_order_relaxed)) {
-      }
-    } else {
-      (void)v;
+    double cur = value_.load(std::memory_order_relaxed);
+    while (v > cur &&
+           !value_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
     }
   }
   [[nodiscard]] double value() const noexcept {

@@ -15,12 +15,12 @@
 /// clock's pid so the viewer shows them as parallel tracks.
 ///
 /// Cost model: when the collector is disabled (the default), every
-/// record path is one relaxed atomic load and a branch; when the build
-/// has VOPROF_OBS off it is nothing at all. Enabling buffers events in
-/// memory under a mutex — tracing is an observation mode, not a hot
-/// path. The buffer holds at most kTraceEventCap events; later events
-/// are dropped and counted in `obs.trace_dropped`, which every written
-/// trace carries in its voprofMetrics.
+/// record path is one relaxed atomic load and a branch. Enabling
+/// buffers events in memory under a mutex — tracing is an observation
+/// mode, not a hot path. The buffer holds at most kTraceEventCap
+/// events; later events are dropped and counted in
+/// `obs.trace_dropped`, which every written trace carries in its
+/// voprofMetrics.
 
 #include <atomic>
 #include <cstddef>
@@ -37,15 +37,8 @@
 namespace voprof::obs {
 
 /// Raw monotonic wall clock in microseconds (not epoch-relative), the
-/// sanctioned time source for instrumented modules — voprof-lint bans
-/// direct steady_clock reads outside bench/ and obs/. Returns 0 when
-/// the build has observability compiled out.
-[[nodiscard]] std::int64_t wall_clock_us() noexcept;
-
-/// Monotonic microseconds that work in EVERY build, including
-/// -DVOPROF_OBS=OFF (unlike wall_clock_us, which folds to 0 there).
-/// For *functional* time — request deadlines, socket timeouts — where
-/// "observability off" must not mean "time stands still".
+/// sanctioned time source outside bench/ and obs/ — voprof-lint bans
+/// direct steady_clock reads there.
 [[nodiscard]] std::int64_t monotonic_us() noexcept;
 
 /// Which timeline an event belongs to (see file comment).
@@ -98,16 +91,12 @@ class TraceCollector {
   /// True when events are being buffered. The hot-path guard: span
   /// helpers check this before doing any work.
   [[nodiscard]] bool enabled() const noexcept {
-    if constexpr (!kObsCompiled) {
-      return false;
-    }
     return enabled_.load(std::memory_order_relaxed);
   }
 
   /// Start collecting; events flush to `path` on write_file()/exit.
   /// Clears the buffer and zeroes `obs.trace_dropped` (registering it,
-  /// so every written trace reports it). No-op (stays disabled) when
-  /// the build has VOPROF_OBS off.
+  /// so every written trace reports it).
   void enable(std::string path);
   /// Stop collecting and drop buffered events without writing.
   void disable();
@@ -197,7 +186,7 @@ class WallSpan {
 
 /// Span covering the rest of the enclosing scope. Two-level expansion
 /// so __LINE__ pastes into a unique variable name.
-#define VOPROF_OBS_CONCAT_(a, b) a##b
-#define VOPROF_OBS_CONCAT(a, b) VOPROF_OBS_CONCAT_(a, b)
+#define VOPROF_SPAN_CONCAT_(a, b) a##b
+#define VOPROF_SPAN_CONCAT(a, b) VOPROF_SPAN_CONCAT_(a, b)
 #define VOPROF_WALL_SPAN(cat, name) \
-  ::voprof::obs::WallSpan VOPROF_OBS_CONCAT(voprof_span_, __LINE__)(cat, name)
+  ::voprof::obs::WallSpan VOPROF_SPAN_CONCAT(voprof_span_, __LINE__)(cat, name)

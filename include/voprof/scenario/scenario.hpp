@@ -75,9 +75,8 @@ struct ScenarioSpec {
   [[nodiscard]] static util::Result<ScenarioSpec> load_result(
       const std::string& path);
 
-  /// Throwing shims over the *_result API (throw ContractViolation).
+  /// Throwing shim over parse_result (throws ContractViolation).
   [[nodiscard]] static ScenarioSpec parse(const std::string& text);
-  [[nodiscard]] static ScenarioSpec load(const std::string& path);
 };
 
 /// Thrown by run_scenario when a [vm] trace file cannot be read or

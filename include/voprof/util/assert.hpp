@@ -4,7 +4,7 @@
 ///
 /// VOPROF_REQUIRE is always on (it guards API misuse and throws
 /// std::invalid_argument / std::logic_error style errors); VOPROF_ASSERT
-/// is an internal invariant check compiled out in NDEBUG builds.
+/// is an internal invariant check that NDEBUG builds compile away.
 
 #include <stdexcept>
 #include <string>

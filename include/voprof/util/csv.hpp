@@ -44,7 +44,7 @@ class CsvDocument {
   [[nodiscard]] std::string str() const;
   void save(const std::string& path) const;
 
-  /// Primary, non-throwing parse (numeric cells only). Errors carry
+  /// Non-throwing parse (numeric cells only). Errors carry
   /// Errc::kParse with a "row N" (or "row N, column C") context, or
   /// Errc::kIo for unreadable files (load_result). They never quote
   /// the input.
@@ -53,11 +53,6 @@ class CsvDocument {
       const std::string& text);
   [[nodiscard]] static Result<CsvDocument> load_result(
       const std::string& path);
-
-  /// Throwing shims over the *_result API.
-  [[nodiscard]] static CsvDocument parse(std::istream& is);
-  [[nodiscard]] static CsvDocument parse_string(const std::string& text);
-  [[nodiscard]] static CsvDocument load(const std::string& path);
 
  private:
   std::vector<std::string> header_;

@@ -30,7 +30,7 @@ struct IniSection {
 
 class IniDocument {
  public:
-  /// Primary, non-throwing API: parse from text. Errors carry
+  /// Non-throwing API: parse from text. Errors carry
   /// Errc::kParse and a "line N" context.
   [[nodiscard]] static Result<IniDocument> parse_result(
       const std::string& text);
@@ -38,11 +38,6 @@ class IniDocument {
   /// errors get the path prefixed to their context ("path:line N").
   [[nodiscard]] static Result<IniDocument> load_result(
       const std::string& path);
-
-  /// Throwing shims over the *_result API (historical spellings;
-  /// throw ContractViolation on any error).
-  [[nodiscard]] static IniDocument parse(const std::string& text);
-  [[nodiscard]] static IniDocument load(const std::string& path);
 
   [[nodiscard]] const std::vector<IniSection>& sections() const noexcept {
     return sections_;

@@ -89,8 +89,14 @@ class Json {
   /// util::format_double.
   [[nodiscard]] std::string dump(int indent = 2) const;
 
-  /// Parse a complete JSON document; trailing non-space input or any
-  /// grammar violation throws JsonError with a byte offset.
+  /// Deepest nesting of arrays and objects parse() accepts. voprof's
+  /// own documents stay within 6 levels; the bound keeps the recursive
+  /// parser's stack use small whatever a client sends.
+  static constexpr int kMaxDepth = 64;
+
+  /// Parse a complete JSON document; trailing non-space input, nesting
+  /// deeper than kMaxDepth or any grammar violation throws JsonError
+  /// with a byte offset.
   [[nodiscard]] static Json parse(std::string_view text);
 
  private:

@@ -52,7 +52,7 @@ struct Error {
 
 /// Either a T or an Error. Intentionally minimal: no monadic
 /// combinators, just checked access and one bridge to the exception
-/// world for the throwing shims.
+/// world.
 template <typename T>
 class [[nodiscard]] Result {
  public:
@@ -82,7 +82,7 @@ class [[nodiscard]] Result {
     return error_;
   }
 
-  /// Bridge for the throwing shims: unwrap or throw ContractViolation
+  /// Bridge for throwing callers: unwrap or throw ContractViolation
   /// carrying Error::to_string() (the historical exception type, so
   /// callers that caught ContractViolation keep working).
   [[nodiscard]] T value_or_throw() && {

@@ -100,7 +100,7 @@ class TaskPool {
   }
 
  private:
-  /// A queued task plus its enqueue timestamp (obs wall clock, us),
+  /// A queued task plus its enqueue timestamp (obs::monotonic_us),
   /// feeding the taskpool.queue_wait_ms histogram.
   struct Job {
     std::function<void()> fn;
@@ -111,9 +111,9 @@ class TaskPool {
   void worker_loop();
 
   /// Observability hooks (non-template so the obs headers stay out of
-  /// this header). begin returns the obs wall clock, or 0 when the
-  /// build has observability off; end records duration, task count and
-  /// a "taskpool" span when a trace is being collected.
+  /// this header). begin returns obs::monotonic_us(); end records
+  /// duration, task count and a "taskpool" span when a trace is being
+  /// collected.
   static long long note_task_begin();
   static void note_task_end(long long begin_us, bool inline_task);
 

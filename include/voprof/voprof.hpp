@@ -9,7 +9,7 @@
 ///   scenario         — declarative INI scenarios + replicated runs
 ///   core/trainer     — Table II sweep -> Sec. V model fitting
 ///   core/predictor   — prediction-accuracy evaluation (Sec. VI)
-///   core/serialize   — model file load/save (Result + throwing shims)
+///   core/serialize   — model file load/save (Result)
 ///   runner           — parallel sweep runner + process-wide ModelCache
 ///   serve            — voprof-api-1 client/server (voprofd)
 ///

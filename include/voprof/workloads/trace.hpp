@@ -56,10 +56,6 @@ class TraceWorkload final : public sim::GuestProcess {
 [[nodiscard]] util::Result<std::vector<TracePoint>> trace_from_csv_result(
     const util::CsvDocument& csv, const std::string& prefix = "vm_",
     double interval_s = 1.0);
-/// Throwing shim over trace_from_csv_result (throws ContractViolation).
-[[nodiscard]] std::vector<TracePoint> trace_from_csv(
-    const util::CsvDocument& csv, const std::string& prefix = "vm_",
-    double interval_s = 1.0);
 
 /// Synthesize a diurnal (daily-pattern) trace: CPU and bandwidth swing
 /// sinusoidally between a trough and a peak over `period_s`, with

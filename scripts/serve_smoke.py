@@ -9,6 +9,8 @@ serving layer promises (docs/SERVING.md):
   * requests beyond --queue-capacity are rejected immediately with a
     structured `overloaded` error -- admission never blocks;
   * an expired deadline yields `timed_out`;
+  * a line nested past the JSON depth limit gets `bad_request` and the
+    daemon keeps answering;
   * SIGTERM completes every admitted request, flushes the metrics
     snapshot and exits 0;
   * `voprofctl request` speaks the same protocol as a raw socket.
@@ -153,6 +155,23 @@ def smoke_envelope_and_status(sock_path):
     c.close()
 
 
+def smoke_deep_nesting(sock_path, proc):
+    print("== deeply nested line -> bad_request, daemon survives")
+    c = Client(sock_path)
+    # 200,000 '[' -- a fifth of the line cap. The parser stops at its
+    # nesting limit instead of recursing once per bracket.
+    c.sock.sendall(b"[" * 200000 + b"\n")
+    bad = c.recv_line()
+    check(bad is not None and not bad["ok"]
+          and bad["error"]["code"] == "bad_request",
+          "a 200,000-byte line of '[' answers bad_request")
+    check(proc.poll() is None, "voprofd is still running")
+    if bad is not None:
+        status = c.roundtrip(req("st3", "status"))
+        check(status["ok"], "status answers after the nested line")
+    c.close()
+
+
 def smoke_overload(sock_path):
     print("== saturation -> overloaded, status stays responsive")
     c = Client(sock_path)
@@ -292,6 +311,7 @@ def main():
         try:
             wait_for_socket(sock_path, proc)
             smoke_envelope_and_status(sock_path)
+            smoke_deep_nesting(sock_path, proc)
             smoke_overload(sock_path)
             smoke_deadline(sock_path)
             smoke_predict(sock_path)

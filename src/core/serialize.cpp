@@ -156,22 +156,10 @@ util::Result<TrainedModels> load_models_file_result(const std::string& path) {
   return parsed;
 }
 
-TrainedModels load_models(std::istream& is) {
-  return load_models_result(is).value_or_throw();
-}
-
-TrainedModels models_from_string(const std::string& text) {
-  return models_from_string_result(text).value_or_throw();
-}
-
 void save_models_file(const TrainedModels& models, const std::string& path) {
   std::ofstream f(path);
   VOPROF_REQUIRE_MSG(f.good(), "cannot open model file for writing: " + path);
   save_models(models, f);
-}
-
-TrainedModels load_models_file(const std::string& path) {
-  return load_models_file_result(path).value_or_throw();
 }
 
 // -------------------------------------------------------- typed model

@@ -22,25 +22,21 @@ Histogram::Histogram(std::vector<double> upper_bounds)
 }
 
 void Histogram::observe(double v) noexcept {
-  if constexpr (kObsCompiled) {
-    // NaN is checked explicitly and sent to the overflow bucket:
-    // lower_bound's `bound < NaN` comparisons are all false, which
-    // would otherwise file NaN under the FIRST bucket.
-    std::size_t idx = bounds_.size();
-    if (!std::isnan(v)) {
-      const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-      if (it != bounds_.end()) {
-        idx = static_cast<std::size_t>(it - bounds_.begin());
-      }
+  // NaN is checked explicitly and sent to the overflow bucket:
+  // lower_bound's `bound < NaN` comparisons are all false, which
+  // would otherwise file NaN under the FIRST bucket.
+  std::size_t idx = bounds_.size();
+  if (!std::isnan(v)) {
+    const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
+    if (it != bounds_.end()) {
+      idx = static_cast<std::size_t>(it - bounds_.begin());
     }
-    counts_[idx].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    double cur = sum_.load(std::memory_order_relaxed);
-    while (!sum_.compare_exchange_weak(cur, cur + v,
-                                       std::memory_order_relaxed)) {
-    }
-  } else {
-    (void)v;
+  }
+  counts_[idx].fetch_add(1, std::memory_order_relaxed);
+  count_.fetch_add(1, std::memory_order_relaxed);
+  double cur = sum_.load(std::memory_order_relaxed);
+  while (!sum_.compare_exchange_weak(cur, cur + v,
+                                     std::memory_order_relaxed)) {
   }
 }
 

@@ -10,14 +10,6 @@ namespace voprof::obs {
 
 namespace {
 
-std::int64_t steady_us() {
-  // The one sanctioned direct steady_clock read outside bench/: every
-  // other module times itself through WallSpan, which lands here.
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 /// Events record() refused because the buffer held kTraceEventCap.
 Counter& dropped_events() {
   static Counter& dropped = Registry::global().counter("obs.trace_dropped");
@@ -66,14 +58,13 @@ util::Json metadata_event(int pid, const char* label) {
 
 }  // namespace
 
-std::int64_t wall_clock_us() noexcept {
-  if constexpr (!kObsCompiled) {
-    return 0;
-  }
-  return steady_us();
+std::int64_t monotonic_us() noexcept {
+  // The one sanctioned direct steady_clock read outside bench/: every
+  // other module times itself through here or WallSpan.
+  return std::chrono::duration_cast<std::chrono::microseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
 }
-
-std::int64_t monotonic_us() noexcept { return steady_us(); }
 
 TraceCollector& TraceCollector::global() {
   // A true static (unlike Registry::global()): the destructor is the
@@ -90,13 +81,9 @@ TraceCollector::~TraceCollector() {
 }
 
 void TraceCollector::enable(std::string path) {
-  if constexpr (!kObsCompiled) {
-    (void)path;
-    return;
-  }
   std::lock_guard<std::mutex> lock(mutex_);
   path_ = std::move(path);
-  epoch_us_ = steady_us();
+  epoch_us_ = monotonic_us();
   events_.clear();
   dropped_events().reset();
   enabled_.store(true, std::memory_order_relaxed);
@@ -132,7 +119,7 @@ std::int64_t TraceCollector::wall_now_us() const noexcept {
   if (!enabled()) {
     return 0;
   }
-  return steady_us() - epoch_us_;
+  return monotonic_us() - epoch_us_;
 }
 
 std::uint64_t TraceCollector::current_tid() {

@@ -179,10 +179,6 @@ ScenarioSpec ScenarioSpec::parse(const std::string& text) {
   return parse_result(text).value_or_throw();
 }
 
-ScenarioSpec ScenarioSpec::load(const std::string& path) {
-  return load_result(path).value_or_throw();
-}
-
 TraceInputError::TraceInputError(util::Error error)
     : util::ContractViolation(error.to_string()), error_(std::move(error)) {}
 

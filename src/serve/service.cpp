@@ -3,6 +3,7 @@
 #include <chrono>
 #include <future>
 #include <initializer_list>
+#include <limits>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -119,6 +120,12 @@ double num_param(const util::Json& params, const char* key, double def) {
 
 int int_param(const util::Json& params, const char* key, int def) {
   const double v = num_param(params, key, static_cast<double>(def));
+  // Casting a double outside int's range is undefined, so test first.
+  if (!(v >= std::numeric_limits<int>::min() &&
+        v <= std::numeric_limits<int>::max())) {
+    fail(ApiError::kBadRequest,
+         std::string("param '") + key + "' is out of range");
+  }
   const int i = static_cast<int>(v);
   if (static_cast<double>(i) != v) {
     fail(ApiError::kBadRequest,

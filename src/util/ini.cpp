@@ -123,14 +123,6 @@ Result<IniDocument> IniDocument::load_result(const std::string& path) {
   return parsed;
 }
 
-IniDocument IniDocument::parse(const std::string& text) {
-  return parse_result(text).value_or_throw();
-}
-
-IniDocument IniDocument::load(const std::string& path) {
-  return load_result(path).value_or_throw();
-}
-
 std::vector<const IniSection*> IniDocument::of_kind(
     const std::string& kind) const {
   std::vector<const IniSection*> out;

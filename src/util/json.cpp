@@ -120,9 +120,17 @@ class Parser {
     const char c = peek();
     switch (c) {
       case '{':
-        return object();
-      case '[':
-        return array();
+      case '[': {
+        if (depth_ == Json::kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(Json::kMaxDepth) +
+                   " levels",
+               pos_);
+        }
+        ++depth_;
+        Json out = c == '{' ? object() : array();
+        --depth_;
+        return out;
+      }
       case '"':
         return Json(string());
       case 't':
@@ -276,6 +284,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< arrays/objects open at pos_
 };
 
 }  // namespace

@@ -53,20 +53,10 @@ TaskPool::~TaskPool() {
   for (std::thread& w : workers_) w.join();
 }
 
-long long TaskPool::note_task_begin() {
-  if constexpr (!obs::kObsCompiled) {
-    return 0;
-  }
-  return obs::wall_clock_us();
-}
+long long TaskPool::note_task_begin() { return obs::monotonic_us(); }
 
 void TaskPool::note_task_end(long long begin_us, bool inline_task) {
-  if constexpr (!obs::kObsCompiled) {
-    (void)begin_us;
-    (void)inline_task;
-    return;
-  }
-  const long long dur_us = obs::wall_clock_us() - begin_us;
+  const long long dur_us = obs::monotonic_us() - begin_us;
   PoolMetrics::get().tasks.add();
   if (inline_task) {
     PoolMetrics::get().inline_tasks.add();
@@ -82,7 +72,7 @@ void TaskPool::note_task_end(long long begin_us, bool inline_task) {
 }
 
 void TaskPool::enqueue(std::function<void()> job) {
-  Job entry{std::move(job), obs::wall_clock_us()};
+  Job entry{std::move(job), obs::monotonic_us()};
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     queue_.push_back(std::move(entry));
@@ -109,10 +99,8 @@ void TaskPool::worker_loop() {
       }
     }
     const long long t0 = note_task_begin();
-    if constexpr (obs::kObsCompiled) {
-      PoolMetrics::get().queue_wait_ms.observe(
-          static_cast<double>(t0 - job.enqueued_us) / 1000.0);
-    }
+    PoolMetrics::get().queue_wait_ms.observe(
+        static_cast<double>(t0 - job.enqueued_us) / 1000.0);
     job.fn();  // packaged_task captures any exception into its future
     note_task_end(t0, /*inline_task=*/false);
   }

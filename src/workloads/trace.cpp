@@ -85,12 +85,6 @@ util::Result<std::vector<TracePoint>> trace_from_csv_result(
   return out;
 }
 
-std::vector<TracePoint> trace_from_csv(const util::CsvDocument& csv,
-                                       const std::string& prefix,
-                                       double interval_s) {
-  return trace_from_csv_result(csv, prefix, interval_s).value_or_throw();
-}
-
 std::vector<TracePoint> make_diurnal_trace(const DiurnalSpec& spec,
                                            std::uint64_t seed) {
   VOPROF_REQUIRE(spec.points >= 2);

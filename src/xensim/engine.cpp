@@ -11,7 +11,7 @@ namespace voprof::sim {
 namespace {
 
 /// Registry references resolved once; the write paths below are
-/// relaxed atomics (no-ops entirely when VOPROF_OBS is off).
+/// relaxed atomics.
 /// engine.events_stale / engine.events_fired is the lazy-deletion
 /// ratio: how many heap pops were cancelled corpses vs. real firings.
 struct EngineMetrics {

@@ -1,6 +1,6 @@
 // Contract-macro behavior: VOPROF_REQUIRE / VOPROF_REQUIRE_MSG always
 // throw ContractViolation with file:line context; VOPROF_ASSERT is an
-// internal invariant compiled out under NDEBUG (so Release builds pay
+// internal invariant compiled away under NDEBUG (so Release builds pay
 // nothing for it — the tier-1 RelWithDebInfo build exercises exactly
 // that compiled-out path, Debug/sanitizer builds the active one).
 

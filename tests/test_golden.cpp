@@ -147,7 +147,8 @@ TEST(Golden, ScenarioSimulateJson) {
       {"micro", sim::SchedulerMode::kMicro},
       {"macro", sim::SchedulerMode::kMacro}};
   for (const auto& conf : confs) {
-    scenario::ScenarioSpec spec = scenario::ScenarioSpec::load(conf.string());
+    scenario::ScenarioSpec spec =
+        scenario::ScenarioSpec::load_result(conf.string()).take();
     spec.duration_s = 10.0;
     spec.warmup_s = std::min(spec.warmup_s, 2.0);
     for (auto& vm : spec.vms) {

@@ -101,7 +101,7 @@ TEST(Pipeline, MonitorCsvTraceReplayRoundTrip) {
                    s.bw[i].value});
     }
   }
-  const auto trace = wl::trace_from_csv(csv);
+  const auto trace = wl::trace_from_csv_result(csv).take();
   sim::Engine engine;
   sim::Cluster cluster(engine, sim::CostModel{}, 92);
   sim::PhysicalMachine& pm = cluster.add_machine(sim::MachineSpec{});
@@ -124,7 +124,8 @@ TEST(Pipeline, SerializedModelDrivesPlacement) {
   const model::TrainedModels trained =
       model::Trainer(cfg).train(model::RegressionMethod::kLms);
   const model::TrainedModels reloaded =
-      model::models_from_string(model::models_to_string(trained));
+      model::models_from_string_result(model::models_to_string(trained))
+          .take();
 
   place::PlacerConfig pcfg;
   pcfg.overhead_aware = true;

@@ -30,6 +30,9 @@ TEST(Json, ParsesNestedStructures) {
   EXPECT_DOUBLE_EQ(doc.at("wall_s").at("median").as_number(), 0.125);
   ASSERT_EQ(doc.at("wall_s").at("raw").as_array().size(), 2u);
   EXPECT_TRUE(doc.at("flags").as_array()[2].is_null());
+  const std::string deepest = std::string(Json::kMaxDepth, '[') +
+                              std::string(Json::kMaxDepth, ']');
+  EXPECT_TRUE(Json::parse(deepest).is_array());
 }
 
 TEST(Json, StringEscapes) {
@@ -76,6 +79,13 @@ TEST(Json, MalformedInputThrows) {
   EXPECT_THROW((void)Json::parse("nul"), JsonError);
   EXPECT_THROW((void)Json::parse("1 2"), JsonError);  // trailing token
   EXPECT_THROW((void)Json::parse("\"unterminated"), JsonError);
+  // One level past the nesting limit, closed or not.
+  const std::string too_deep = std::string(Json::kMaxDepth + 1, '[') +
+                               std::string(Json::kMaxDepth + 1, ']');
+  EXPECT_THROW((void)Json::parse(too_deep), JsonError);
+  std::string objects;
+  for (int i = 0; i < 20000; ++i) objects += R"({"a":)";
+  EXPECT_THROW((void)Json::parse(objects), JsonError);
 }
 
 TEST(Json, TypeMismatchedAccessThrows) {

@@ -60,10 +60,6 @@ double span_end(const util::Json& e) {
 }
 
 TEST(Metrics, CounterCountsAndResets) {
-  if constexpr (!obs::kObsCompiled) {
-    GTEST_SKIP() << "observability compiled out (VOPROF_OBS=OFF)";
-  }
-
   obs::Counter c;
   EXPECT_EQ(c.value(), 0u);
   c.add();
@@ -74,10 +70,6 @@ TEST(Metrics, CounterCountsAndResets) {
 }
 
 TEST(Metrics, GaugeSetAndHighWater) {
-  if constexpr (!obs::kObsCompiled) {
-    GTEST_SKIP() << "observability compiled out (VOPROF_OBS=OFF)";
-  }
-
   obs::Gauge g;
   g.set(3.5);
   EXPECT_DOUBLE_EQ(g.value(), 3.5);
@@ -88,10 +80,6 @@ TEST(Metrics, GaugeSetAndHighWater) {
 }
 
 TEST(Metrics, HistogramBucketsAndOverflow) {
-  if constexpr (!obs::kObsCompiled) {
-    GTEST_SKIP() << "observability compiled out (VOPROF_OBS=OFF)";
-  }
-
   obs::Histogram h({1.0, 10.0, 100.0});
   h.observe(0.5);    // bucket 0 (<= 1)
   h.observe(1.0);    // bucket 0 (inclusive upper bound)
@@ -124,10 +112,6 @@ TEST(Metrics, RegistryDeduplicatesByName) {
 }
 
 TEST(Metrics, SnapshotIsSortedAndTyped) {
-  if constexpr (!obs::kObsCompiled) {
-    GTEST_SKIP() << "observability compiled out (VOPROF_OBS=OFF)";
-  }
-
   auto& reg = obs::Registry::global();
   reg.counter("test_obs.zz_counter").add(3);
   reg.gauge("test_obs.aa_gauge").set(1.5);
@@ -163,10 +147,6 @@ TEST(Metrics, CategoryIsDottedPrefix) {
 // The lock-free contract: concurrent writers through a TaskPool lose
 // no increments and no observations once the pool has joined.
 TEST(MetricsConcurrency, CountersExactUnderParallelWriters) {
-  if constexpr (!obs::kObsCompiled) {
-    GTEST_SKIP() << "observability compiled out (VOPROF_OBS=OFF)";
-  }
-
   auto& counter = obs::Registry::global().counter("test_obs.par_counter");
   auto& gauge = obs::Registry::global().gauge("test_obs.par_gauge");
   auto& hist = obs::Registry::global().histogram("test_obs.par_hist",
@@ -196,10 +176,6 @@ TEST(MetricsConcurrency, CountersExactUnderParallelWriters) {
 // More writer threads than cells: some threads share a cell, and the
 // total is still exact.
 TEST(MetricsConcurrency, CounterExactWithMoreThreadsThanCells) {
-  if constexpr (!obs::kObsCompiled) {
-    GTEST_SKIP() << "observability compiled out (VOPROF_OBS=OFF)";
-  }
-
   obs::Counter counter;
   constexpr std::size_t kThreads = 3 * obs::detail::kCounterCells;
   constexpr std::uint64_t kPerTask = 500;
@@ -213,10 +189,6 @@ TEST(MetricsConcurrency, CounterExactWithMoreThreadsThanCells) {
 // The cells belong to the counter, not to the threads: counts made by
 // workers that have since exited are kept.
 TEST(MetricsConcurrency, CounterKeepsCountsOfExitedThreads) {
-  if constexpr (!obs::kObsCompiled) {
-    GTEST_SKIP() << "observability compiled out (VOPROF_OBS=OFF)";
-  }
-
   obs::Counter counter;
   {
     util::TaskPool pool(4);
@@ -229,10 +201,6 @@ TEST(MetricsConcurrency, CounterKeepsCountsOfExitedThreads) {
 
 // reset() zeroes every cell, not just the calling thread's.
 TEST(MetricsConcurrency, CounterResetZeroesEveryCell) {
-  if constexpr (!obs::kObsCompiled) {
-    GTEST_SKIP() << "observability compiled out (VOPROF_OBS=OFF)";
-  }
-
   obs::Counter counter;
   constexpr std::size_t kThreads = 2 * obs::detail::kCounterCells;
   util::TaskPool pool(kThreads);
@@ -254,10 +222,6 @@ TEST(Trace, DisabledCollectorRecordsNothing) {
 }
 
 TEST(Trace, ExportedJsonIsValidAndTagged) {
-  if constexpr (!obs::kObsCompiled) {
-    GTEST_SKIP() << "observability compiled out (VOPROF_OBS=OFF)";
-  }
-
   auto& col = obs::TraceCollector::global();
   const std::string path = temp_path("test_obs_trace.json");
   col.enable(path);
@@ -318,10 +282,6 @@ TEST(Trace, ExportedJsonIsValidAndTagged) {
 }
 
 TEST(TraceConcurrency, ParallelSpansAllArrive) {
-  if constexpr (!obs::kObsCompiled) {
-    GTEST_SKIP() << "observability compiled out (VOPROF_OBS=OFF)";
-  }
-
   auto& col = obs::TraceCollector::global();
   const std::string path = temp_path("test_obs_trace_par.json");
   col.enable(path);
@@ -348,21 +308,12 @@ TEST(TraceConcurrency, ParallelSpansAllArrive) {
 }
 
 TEST(Trace, WallClockIsMonotonic) {
-  const std::int64_t a = obs::wall_clock_us();
-  const std::int64_t b = obs::wall_clock_us();
-  if constexpr (obs::kObsCompiled) {
-    EXPECT_GE(b, a);
-  } else {
-    EXPECT_EQ(a, 0);
-    EXPECT_EQ(b, 0);
-  }
+  const std::int64_t a = obs::monotonic_us();
+  const std::int64_t b = obs::monotonic_us();
+  EXPECT_GE(b, a);
 }
 
 TEST(TraceConcurrency, CapDropsAndCountsOverflow) {
-  if constexpr (!obs::kObsCompiled) {
-    GTEST_SKIP() << "observability compiled out (VOPROF_OBS=OFF)";
-  }
-
   auto& col = obs::TraceCollector::global();
   const std::string path = temp_path("test_obs_trace_cap.json");
   col.enable(path);
@@ -405,10 +356,6 @@ TEST(TraceConcurrency, CapDropsAndCountsOverflow) {
 }
 
 TEST(SimTracing, LifecycleInstantsAndContentionEpisode) {
-  if constexpr (!obs::kObsCompiled) {
-    GTEST_SKIP() << "observability compiled out (VOPROF_OBS=OFF)";
-  }
-
   auto& col = obs::TraceCollector::global();
   col.enable(temp_path("test_obs_sim_lifecycle.json"));
   {
@@ -456,10 +403,6 @@ TEST(SimTracing, LifecycleInstantsAndContentionEpisode) {
 }
 
 TEST(SimTracing, MigrationInstantsCarrySubject) {
-  if constexpr (!obs::kObsCompiled) {
-    GTEST_SKIP() << "observability compiled out (VOPROF_OBS=OFF)";
-  }
-
   auto& col = obs::TraceCollector::global();
   col.enable(temp_path("test_obs_sim_migration.json"));
   {
@@ -493,10 +436,6 @@ TEST(SimTracing, MigrationInstantsCarrySubject) {
 }
 
 TEST(SimTracing, DiskThrottleEpisode) {
-  if constexpr (!obs::kObsCompiled) {
-    GTEST_SKIP() << "observability compiled out (VOPROF_OBS=OFF)";
-  }
-
   obs::Counter& throttle_ticks =
       obs::Registry::global().counter("machine.disk_throttle_ticks");
   const std::uint64_t ticks_before = throttle_ticks.value();
@@ -552,10 +491,6 @@ TEST(SimTracing, DisabledCollectorUntouched) {
 }
 
 TEST(SimTracing, ContendedScenarioTraceIsCompleteAndBounded) {
-  if constexpr (!obs::kObsCompiled) {
-    GTEST_SKIP() << "observability compiled out (VOPROF_OBS=OFF)";
-  }
-
   // Three VMs at 99 % CPU on one PM: contended on every one of the
   // 6,500 ticks, more than any per-tick event ring would keep.
   scenario::ScenarioSpec spec;

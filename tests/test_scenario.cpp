@@ -10,14 +10,14 @@ namespace {
 
 // ------------------------------------------------------------- INI layer
 TEST(Ini, ParsesSectionsAndEntries) {
-  const auto doc = util::IniDocument::parse(
+  const auto doc = util::IniDocument::parse_result(
       "# comment\n"
       "[cluster]\n"
       "seed = 7\n"
       "\n"
       "[vm web]   # trailing comment\n"
       "machine = 0\n"
-      "cpu = 55.5\n");
+      "cpu = 55.5\n").take();
   ASSERT_EQ(doc.sections().size(), 2u);
   EXPECT_EQ(doc.sections()[0].kind, "cluster");
   EXPECT_EQ(doc.sections()[1].kind, "vm");
@@ -28,8 +28,8 @@ TEST(Ini, ParsesSectionsAndEntries) {
 }
 
 TEST(Ini, RepeatedKindsKeepOrder) {
-  const auto doc = util::IniDocument::parse(
-      "[vm a]\nmachine=0\n[vm b]\nmachine=1\n");
+  const auto doc = util::IniDocument::parse_result(
+      "[vm a]\nmachine=0\n[vm b]\nmachine=1\n").take();
   const auto vms = doc.of_kind("vm");
   ASSERT_EQ(vms.size(), 2u);
   EXPECT_EQ(vms[0]->name, "a");
@@ -39,20 +39,19 @@ TEST(Ini, RepeatedKindsKeepOrder) {
 }
 
 TEST(Ini, LastValueWinsForDuplicateKeys) {
-  const auto doc = util::IniDocument::parse("[s]\nk = 1\nk = 2\n");
+  const auto doc =
+      util::IniDocument::parse_result("[s]\nk = 1\nk = 2\n").take();
   EXPECT_EQ(doc.unique("s").get_int("k", 0), 2);
 }
 
 TEST(Ini, MalformedInputRejected) {
-  EXPECT_THROW((void)util::IniDocument::parse("[broken\nk=1\n"),
-               util::ContractViolation);
-  EXPECT_THROW((void)util::IniDocument::parse("key = before-section\n"),
-               util::ContractViolation);
-  EXPECT_THROW((void)util::IniDocument::parse("[s]\nnot-a-pair\n"),
-               util::ContractViolation);
-  EXPECT_THROW((void)util::IniDocument::parse("[]\n"),
-               util::ContractViolation);
-  const auto doc = util::IniDocument::parse("[s]\nk = abc\n");
+  for (const char* text : {"[broken\nk=1\n", "key = before-section\n",
+                           "[s]\nnot-a-pair\n", "[]\n"}) {
+    const auto parsed = util::IniDocument::parse_result(text);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.error().code, util::Errc::kParse) << text;
+  }
+  const auto doc = util::IniDocument::parse_result("[s]\nk = abc\n").take();
   EXPECT_THROW((void)doc.unique("s").get_double("k", 0),
                util::ContractViolation);
 }

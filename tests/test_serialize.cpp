@@ -50,8 +50,8 @@ TEST(TrainingSetCsv, RoundTripPreservesRows) {
 TEST(TrainingSetCsv, RoundTripThroughText) {
   const TrainingSet data = synthetic_data(2);
   const std::string text = training_set_to_csv(data).str();
-  const TrainingSet back =
-      training_set_from_csv(util::CsvDocument::parse_string(text));
+  const TrainingSet back = training_set_from_csv(
+      util::CsvDocument::parse_string_result(text).take());
   EXPECT_EQ(back.size(), data.size());
   // Models fitted on both sides agree.
   const auto a = Trainer::fit_models(data, RegressionMethod::kOls);
@@ -84,7 +84,7 @@ TrainedModels* ModelSerialization::models_ = nullptr;
 
 TEST_F(ModelSerialization, RoundTripPreservesPredictions) {
   const std::string text = models_to_string(*models_);
-  const TrainedModels back = models_from_string(text);
+  const TrainedModels back = models_from_string_result(text).take();
   ASSERT_TRUE(back.single.trained());
   ASSERT_TRUE(back.multi.trained());
   for (int n : {1, 2, 3, 4}) {
@@ -101,7 +101,8 @@ TEST_F(ModelSerialization, RoundTripPreservesPredictions) {
 }
 
 TEST_F(ModelSerialization, RoundTripPreservesFitQuality) {
-  const TrainedModels back = models_from_string(models_to_string(*models_));
+  const TrainedModels back =
+      models_from_string_result(models_to_string(*models_)).take();
   const LinearFit& a = models_->single.fit_for(MetricIndex::kCpu);
   const LinearFit& b = back.single.fit_for(MetricIndex::kCpu);
   EXPECT_DOUBLE_EQ(a.residual_rms, b.residual_rms);
@@ -111,20 +112,24 @@ TEST_F(ModelSerialization, RoundTripPreservesFitQuality) {
 TEST_F(ModelSerialization, FileRoundTrip) {
   const std::string path = ::testing::TempDir() + "/voprof_models.txt";
   save_models_file(*models_, path);
-  const TrainedModels back = load_models_file(path);
+  const TrainedModels back = load_models_file_result(path).take();
   const UtilVec probe{55, 150, 0, 1800};
   EXPECT_DOUBLE_EQ(models_->multi.predict(probe, 2).cpu,
                    back.multi.predict(probe, 2).cpu);
 }
 
 TEST_F(ModelSerialization, RejectsGarbage) {
-  EXPECT_THROW((void)models_from_string(""), util::ContractViolation);
-  EXPECT_THROW((void)models_from_string("not-a-model\n"),
-               util::ContractViolation);
+  const auto code_of = [](const std::string& text) {
+    const auto parsed = models_from_string_result(text);
+    EXPECT_FALSE(parsed.ok());
+    return parsed.ok() ? util::Errc::kInternal : parsed.error().code;
+  };
+  EXPECT_EQ(code_of(""), util::Errc::kParse);
+  EXPECT_EQ(code_of("not-a-model\n"), util::Errc::kUnsupported);
   // Truncate mid-file.
   std::string text = models_to_string(*models_);
   text.resize(text.size() / 2);
-  EXPECT_THROW((void)models_from_string(text), util::ContractViolation);
+  EXPECT_EQ(code_of(text), util::Errc::kParse);
 }
 
 TEST_F(ModelSerialization, UntrainedModelsRejected) {
@@ -133,8 +138,9 @@ TEST_F(ModelSerialization, UntrainedModelsRejected) {
 }
 
 TEST_F(ModelSerialization, MissingFileRejected) {
-  EXPECT_THROW((void)load_models_file("/nonexistent/voprof.txt"),
-               util::ContractViolation);
+  const auto loaded = load_models_file_result("/nonexistent/voprof.txt");
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.error().code, util::Errc::kIo);
 }
 
 // ------------------------------------------------------- typed model

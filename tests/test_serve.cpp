@@ -58,6 +58,10 @@ TEST(Api, RejectsMalformedAndInvalidRequests) {
   EXPECT_FALSE(parse_request(R"({"op":"status","deadline_ms":-5})").ok());
   EXPECT_FALSE(parse_request(R"({"op":"status","params":[1]})").ok());
   EXPECT_FALSE(parse_request(R"([1,2])").ok());
+  // A tenth of the daemon's line cap, nested past util::Json::kMaxDepth:
+  // a parse error, not a stack overflow.
+  EXPECT_EQ(parse_request(std::string(100000, '[')).error().code,
+            util::Errc::kParse);
 }
 
 TEST(Api, ResponsesCarryVersionIdAndShape) {
@@ -236,8 +240,22 @@ TEST(Service, BadParamsAreBadRequests) {
   EXPECT_EQ(error_code_of(service.handle_line(R"({"op":"simulate",)"
                                               R"("params":{}})")),
             "bad_request");  // scenario text is required
+  EXPECT_EQ(error_code_of(service.handle_line(std::string(100000, '['))),
+            "bad_request");  // nested past the parser's depth limit
+  // Integer params beyond int's range are refused before any cast.
+  for (const char* line :
+       {R"({"op":"predict","params":{"vms":1e20}})",
+        R"({"op":"predict","params":{"seed":1e20}})",
+        R"({"op":"simulate",)"
+        R"("params":{"scenario":"[x]","replications":1e20}})"}) {
+    const util::Json doc = util::Json::parse(service.handle_line(line));
+    EXPECT_EQ(doc.at("error").at("code").as_string(), "bad_request") << line;
+    EXPECT_NE(doc.at("error").at("message").as_string().find("out of range"),
+              std::string::npos)
+        << line;
+  }
   const Service::Stats stats = service.stats();
-  EXPECT_EQ(stats.failed, 4u);
+  EXPECT_EQ(stats.failed, 7u);
   EXPECT_EQ(stats.completed, 0u);
 }
 

@@ -34,10 +34,6 @@ util::Json sample_doc() {
 }
 
 TEST(TraceTool, SummarizesPerCategory) {
-  if constexpr (!obs::kObsCompiled) {
-    GTEST_SKIP() << "observability compiled out (VOPROF_OBS=OFF)";
-  }
-
   const tools::TraceSummary s = tools::summarize_trace(sample_doc());
   EXPECT_EQ(s.schema, obs::kTraceSchema);
   EXPECT_GE(s.total_events, 5);
@@ -68,10 +64,6 @@ TEST(TraceTool, SummarizesPerCategory) {
 }
 
 TEST(TraceTool, SpansSortedBusiestFirst) {
-  if constexpr (!obs::kObsCompiled) {
-    GTEST_SKIP() << "observability compiled out (VOPROF_OBS=OFF)";
-  }
-
   const tools::TraceSummary s = tools::summarize_trace(sample_doc());
   ASSERT_GE(s.spans.size(), 3u);
   for (std::size_t i = 1; i < s.spans.size(); ++i) {
@@ -95,10 +87,6 @@ TEST(TraceTool, RejectsForeignDocuments) {
 }
 
 TEST(TraceTool, SummaryAndTopRender) {
-  if constexpr (!obs::kObsCompiled) {
-    GTEST_SKIP() << "observability compiled out (VOPROF_OBS=OFF)";
-  }
-
   const tools::TraceSummary s = tools::summarize_trace(sample_doc());
   const std::string table = tools::format_trace_summary(s);
   EXPECT_NE(table.find("runner"), std::string::npos);
@@ -123,10 +111,6 @@ TEST(TraceTool, SummaryReportsDroppedEvents) {
 }
 
 TEST(TraceTool, ExportCsvHasHeaderAndAllSpanRows) {
-  if constexpr (!obs::kObsCompiled) {
-    GTEST_SKIP() << "observability compiled out (VOPROF_OBS=OFF)";
-  }
-
   const tools::TraceSummary s = tools::summarize_trace(sample_doc());
   const std::string csv = tools::trace_spans_csv(s);
   EXPECT_EQ(csv.rfind("category,name,count,wall_ms,sim_ms\n", 0), 0u);
@@ -135,10 +119,6 @@ TEST(TraceTool, ExportCsvHasHeaderAndAllSpanRows) {
 }
 
 TEST(TraceTool, LoadsFromFile) {
-  if constexpr (!obs::kObsCompiled) {
-    GTEST_SKIP() << "observability compiled out (VOPROF_OBS=OFF)";
-  }
-
   const std::string path = ::testing::TempDir() + "test_trace_tool.json";
   {
     std::ofstream out(path);

@@ -108,7 +108,7 @@ const std::regex& steady_clock_re() {
   // Any direct steady_clock::now() read, qualified or via
   // `using namespace std::chrono`. system_clock is untouched: the rule
   // is about ad-hoc interval timing, which must go through
-  // voprof::obs (wall_clock_us / WallSpan) so traces see it.
+  // voprof::obs (monotonic_us / WallSpan) so traces see it.
   static const std::regex re(R"(steady_clock\s*::\s*now\s*\()");
   return re;
 }
@@ -319,7 +319,7 @@ std::vector<Finding> lint_file_content(const std::string& relpath,
   if (!is_test_code(relpath) && !is_bench_code(relpath) &&
       !is_obs_code(relpath)) {
     scan_lines(lines, steady_clock_re(), relpath, "raw-steady-clock",
-               "time through voprof::obs (wall_clock_us / VOPROF_WALL_SPAN) "
+               "time through voprof::obs (monotonic_us / VOPROF_WALL_SPAN) "
                "instead of steady_clock::now() so traces observe the interval",
                &out);
   }

@@ -24,7 +24,7 @@
 ///                    std::thread::hardware_concurrency are fine)
 ///   raw-steady-clock no steady_clock::now() outside bench/, obs/ and
 ///                    tests — interval timing goes through voprof::obs
-///                    (wall_clock_us / VOPROF_WALL_SPAN) so an enabled
+///                    (monotonic_us / VOPROF_WALL_SPAN) so an enabled
 ///                    trace observes it
 ///
 /// Comments and string literals are masked out before matching, so a

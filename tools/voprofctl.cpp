@@ -422,8 +422,6 @@ int cmd_version() {
             << "  cxx flags:     " << env.cxx_flags << '\n'
             << "  sanitizers:    "
             << (env.sanitizers.empty() ? "none" : env.sanitizers) << '\n'
-            << "  observability: "
-            << (obs::kObsCompiled ? "compiled in" : "compiled out") << '\n'
             << "  os/threads:    " << env.os << '/' << env.hardware_threads
             << '\n';
   return 0;
