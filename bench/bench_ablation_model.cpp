@@ -149,10 +149,10 @@ model::MultiVmModel without_alpha_term(const model::TrainedModels& full) {
   model::TrainingSet neutered;
   for (model::TrainingRow row : full.data.rows()) {
     if (row.n_vms >= 2) {
-      const model::UtilVec base = full.single.predict(row.vm_sum);
-      row.pm = base;
-      row.dom0_cpu = full.single.predict_dom0_cpu(row.vm_sum);
-      row.hyp_cpu = full.single.predict_hyp_cpu(row.vm_sum);
+      const model::SingleVmModel& single = full.multi.base();
+      row.pm = single.predict(row.vm_sum);
+      row.dom0_cpu = single.predict_dom0_cpu(row.vm_sum);
+      row.hyp_cpu = single.predict_hyp_cpu(row.vm_sum);
     }
     neutered.add(row);
   }

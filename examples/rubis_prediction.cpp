@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   const model::TrainedModels models =
       trainer.train(model::RegressionMethod::kLms);
 
-  const util::Matrix a = models.single.coefficient_matrix();
+  const util::Matrix a = models.multi.base().coefficient_matrix();
   std::cout << "      fitted single-VM coefficient matrix a (rows: PM "
                "CPU/MEM/IO/BW; cols: [1, Mc, Mm, Mi, Mn]):\n";
   for (std::size_t r = 0; r < a.rows(); ++r) {

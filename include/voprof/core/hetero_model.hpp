@@ -90,13 +90,6 @@ class HeteroModel {
   [[nodiscard]] const LinearFit& dom0_fit() const;
   [[nodiscard]] const LinearFit& hyp_fit() const;
 
-  /// Rebuild from previously fitted parts (deserialization). Fit
-  /// vectors must have 4*types + 5 coefficients each.
-  [[nodiscard]] static HeteroModel from_parts(
-      std::vector<std::string> types,
-      std::array<LinearFit, kMetricCount> pm_fits, LinearFit dom0,
-      LinearFit hyp);
-
  private:
   /// Feature vector: [M^t1(4), M^t2(4), ..., alpha, alpha*sum(4)].
   [[nodiscard]] std::vector<double> features(

@@ -10,7 +10,6 @@
 #include <iosfwd>
 #include <string>
 
-#include "voprof/core/hetero_model.hpp"
 #include "voprof/core/overhead_model.hpp"
 #include "voprof/core/trainer.hpp"
 #include "voprof/util/csv.hpp"
@@ -42,11 +41,5 @@ void save_models(const TrainedModels& models, std::ostream& os);
     const std::string& path);
 
 void save_models_file(const TrainedModels& models, const std::string& path);
-
-// --- Heterogeneous (typed) model -------------------------------------
-void save_hetero_model(const HeteroModel& model, std::ostream& os);
-[[nodiscard]] std::string hetero_model_to_string(const HeteroModel& model);
-[[nodiscard]] HeteroModel load_hetero_model(std::istream& is);
-[[nodiscard]] HeteroModel hetero_model_from_string(const std::string& text);
 
 }  // namespace voprof::model

@@ -39,9 +39,9 @@ struct TrainerConfig {
   sim::CostModel costs;
 };
 
-/// Fitted models plus the data that produced them.
+/// Fitted models plus the data that produced them. The single-VM model
+/// is multi.base(): fitted on the one-VM rows with the same seed.
 struct TrainedModels {
-  SingleVmModel single;
   MultiVmModel multi;
   TrainingSet data;
 };

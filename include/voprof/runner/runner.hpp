@@ -24,15 +24,14 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "voprof/core/trainer.hpp"
 #include "voprof/obs/metrics.hpp"
 #include "voprof/obs/trace.hpp"
-#include "voprof/util/csv.hpp"
 #include "voprof/util/rng.hpp"
 #include "voprof/util/task_pool.hpp"
-#include "voprof/workloads/levels.hpp"
 
 namespace voprof::runner {
 
@@ -91,34 +90,6 @@ class SweepRunner {
 
   util::TaskPool pool_;
 };
-
-// --- Micro-benchmark sweep (the runner demo) --------------------------
-
-/// The Table II sweep as a parallel workload: one task per
-/// (vm_count, workload kind, intensity level) cell, each on a fresh
-/// simulated testbed seeded with seed_for(base_seed, cell_index).
-struct MicroSweepConfig {
-  std::vector<int> vm_counts = {1};
-  std::vector<wl::WorkloadKind> kinds = {
-      wl::WorkloadKind::kCpu, wl::WorkloadKind::kMem, wl::WorkloadKind::kIo,
-      wl::WorkloadKind::kBw};
-  /// Intensity levels per kind (<= wl::kLevelCount).
-  std::size_t levels = wl::kLevelCount;
-  util::SimMicros duration = util::seconds(30.0);
-  std::uint64_t base_seed = 42;
-  /// Append a final row (kind = -1) merging every cell's streaming
-  /// stats via RunningStats::merge in cell order.
-  bool summary_row = true;
-  sim::MachineSpec machine;
-  sim::VmSpec vm;
-  sim::CostModel costs;
-};
-
-/// Run the sweep and return one CSV row per cell with the mean (and
-/// selected stddev) utilizations over the cell's 1 s samples. The
-/// document is byte-identical for every RunOptions::jobs value.
-[[nodiscard]] util::CsvDocument run_micro_sweep(const MicroSweepConfig& config,
-                                                const RunOptions& opts);
 
 // --- Trained-model cache ----------------------------------------------
 

@@ -19,6 +19,7 @@
 /// writes the final metrics/trace artifacts and removes the socket.
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -34,6 +35,14 @@
 
 namespace voprof::serve {
 
+/// A request line longer than this is answered `bad_request` and its
+/// connection closed.
+inline constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+/// A connection whose unsent responses reach this many bytes is not
+/// read until they drain below it, so a client that writes without
+/// reading stalls in its own send instead of growing the daemon.
+inline constexpr std::size_t kOutputHighWaterBytes = std::size_t{1} << 20;
+
 struct DaemonConfig {
   /// Filesystem path of the Unix-domain listening socket (required).
   std::string socket_path;
@@ -44,9 +53,6 @@ struct DaemonConfig {
   /// When non-empty, write a JSON snapshot of the obs metrics registry
   /// here during shutdown (the daemon's "final flush").
   std::string metrics_out;
-  int listen_backlog = 16;
-  /// Reject a request line that exceeds this many bytes.
-  std::size_t max_line_bytes = 1 << 20;
 };
 
 class Daemon {
@@ -111,8 +117,8 @@ class Daemon {
 
 /// Build a DaemonConfig from the shared `serve` flag set (--socket,
 /// --jobs, --queue-capacity, --default-deadline-ms, --max-deadline-ms,
-/// --train-duration, --seed, --inner-jobs, --enable-test-ops,
-/// --metrics-out). Validation failures are Errc::kValidation.
+/// --train-duration, --seed, --enable-test-ops, --metrics-out).
+/// Validation failures are Errc::kValidation.
 [[nodiscard]] util::Result<DaemonConfig> daemon_config_from_args(
     const util::CliArgs& args);
 

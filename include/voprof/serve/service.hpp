@@ -27,6 +27,9 @@
 ///    inline on the submitting thread: they stay responsive while the
 ///    workers are saturated, and they do not appear in the
 ///    accepted/completed counters.
+///  * Outcomes are counted once, in the process-wide obs registry
+///    (`serve.accepted`, `serve.completed`, ...); `status` reports
+///    those counters, so they span every Service in the process.
 ///
 /// The responder callback is invoked exactly once per request: on the
 /// submitting thread for rejections and control ops, on a worker
@@ -62,6 +65,14 @@ namespace voprof::serve {
 [[nodiscard]] util::Json simulate_result_json(
     const scenario::ReplicatedScenarioResult& result);
 
+/// Accepted training-sweep cell durations in seconds, for
+/// ServiceConfig::train_duration_s and the `train_duration_s` /
+/// `duration_s` request params: at least one 1 s monitor interval (a
+/// shorter cell yields no observation), at most ten minutes (the paper
+/// trains on 2-minute cells).
+inline constexpr double kMinTrainDurationS = 1.0;
+inline constexpr double kMaxTrainDurationS = 600.0;
+
 /// Tunables of one Service instance. The defaults suit an interactive
 /// daemon; tests shrink capacity/jobs to force the edge cases.
 struct ServiceConfig {
@@ -77,15 +88,11 @@ struct ServiceConfig {
   /// Upper clamp on client-supplied deadlines (ms).
   std::int64_t max_deadline_ms = 600000;
   /// Training-sweep cell duration backing `predict`/`train` when the
-  /// request does not override it (seconds; the paper trains on
-  /// 2-minute cells).
+  /// request does not override it (seconds, within
+  /// [kMinTrainDurationS, kMaxTrainDurationS]).
   double train_duration_s = 120.0;
   /// Seed for trainings that do not name one.
   std::uint64_t default_seed = 42;
-  /// Parallelism *inside* one request (training sweep fan-out,
-  /// simulate replications). Kept at 1 so concurrent requests share
-  /// the machine fairly; raise it for a single-tenant daemon.
-  int inner_jobs = 1;
   /// Serve the `sleep` diagnostics op. Off in production; tests and
   /// the CI smoke enable it to hold workers busy deterministically.
   bool enable_test_ops = false;
@@ -108,9 +115,6 @@ class Service {
   /// overload and drain rejections invoke `done` before returning.
   void submit_line(const std::string& line, Responder done);
 
-  /// As submit_line for an already-parsed request.
-  void submit(Request req, Responder done);
-
   /// Blocking convenience: submit_line and wait for the response.
   [[nodiscard]] std::string handle_line(const std::string& line);
 
@@ -126,19 +130,8 @@ class Service {
     return config_;
   }
 
-  /// Lifetime totals, mirrored into the obs registry as serve.*.
-  struct Stats {
-    std::uint64_t accepted = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t failed = 0;
-    std::uint64_t timed_out = 0;
-    std::uint64_t rejected_overloaded = 0;
-    std::uint64_t rejected_shutting_down = 0;
-    std::uint64_t bad_requests = 0;
-  };
-  [[nodiscard]] Stats stats() const noexcept;
-
  private:
+  void submit(Request req, Responder done);
   void run_request(const Request& req, std::int64_t expires_us,
                    const Responder& done);
   [[nodiscard]] std::string run_control(const Request& req);
@@ -160,14 +153,6 @@ class Service {
   util::TaskPool pool_;
   std::atomic<bool> draining_{false};
   std::atomic<std::size_t> in_flight_{0};
-
-  std::atomic<std::uint64_t> accepted_{0};
-  std::atomic<std::uint64_t> completed_{0};
-  std::atomic<std::uint64_t> failed_{0};
-  std::atomic<std::uint64_t> timed_out_{0};
-  std::atomic<std::uint64_t> rejected_overloaded_{0};
-  std::atomic<std::uint64_t> rejected_shutting_down_{0};
-  std::atomic<std::uint64_t> bad_requests_{0};
 
   mutable std::mutex idle_mutex_;
   std::condition_variable idle_cv_;

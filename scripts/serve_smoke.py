@@ -11,6 +11,9 @@ serving layer promises (docs/SERVING.md):
   * an expired deadline yields `timed_out`;
   * a line nested past the JSON depth limit gets `bad_request` and the
     daemon keeps answering;
+  * a training duration outside the accepted range gets `bad_request`;
+  * a client that writes without reading stalls in its own send while
+    the daemon's memory stays bounded and other clients are served;
   * SIGTERM completes every admitted request, flushes the metrics
     snapshot and exits 0;
   * `voprofctl request` speaks the same protocol as a raw socket.
@@ -230,6 +233,50 @@ def smoke_predict(sock_path):
     c.close()
 
 
+def smoke_bad_duration(sock_path):
+    print("== out-of-range training duration -> bad_request")
+    c = Client(sock_path)
+    resp = c.roundtrip(req("dur1", "predict", {"cpu": 40,
+                                               "train_duration_s": 0.5}))
+    check(not resp["ok"] and resp["error"]["code"] == "bad_request",
+          f"train_duration_s 0.5 answers bad_request: {resp}")
+    c.close()
+
+
+def vm_rss_kib(pid):
+    with open(f"/proc/{pid}/status", encoding="utf-8") as f:
+        for line in f:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1])
+    raise AssertionError("no VmRSS line")
+
+
+def smoke_slow_reader(sock_path, proc):
+    print("== a client that never reads stalls; memory stays bounded")
+    rss_before = vm_rss_kib(proc.pid)
+    slow = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    slow.connect(sock_path)
+    slow.settimeout(0.5)
+    # 16-byte lines, each asking for a ~250-byte status answer.
+    block = b'{"op":"status"}\n' * 4096
+    cap = 6 << 20
+    written = 0
+    stalled = False
+    while written < cap and not stalled:
+        try:
+            written += slow.send(block)
+        except socket.timeout:
+            stalled = True
+    check(stalled, f"the writer stalled (after {written} bytes)")
+    growth_mib = (vm_rss_kib(proc.pid) - rss_before) / 1024
+    check(growth_mib < 32, f"voprofd grew {growth_mib:.1f} MiB (< 32 MiB)")
+    c = Client(sock_path)
+    status = c.roundtrip(req("st4", "status"))
+    check(status["ok"], "status answers while the slow client is stalled")
+    c.close()
+    slow.close()
+
+
 def smoke_ctl_request(sock_path, voprofctl):
     if not voprofctl:
         return
@@ -315,6 +362,8 @@ def main():
             smoke_overload(sock_path)
             smoke_deadline(sock_path)
             smoke_predict(sock_path)
+            smoke_bad_duration(sock_path)
+            smoke_slow_reader(sock_path, proc)
             smoke_ctl_request(sock_path, args.voprofctl)
             smoke_sigterm_drain(sock_path, proc, metrics_path)
         finally:

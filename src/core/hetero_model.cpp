@@ -154,26 +154,4 @@ const LinearFit& HeteroModel::hyp_fit() const {
   return hyp_fit_;
 }
 
-HeteroModel HeteroModel::from_parts(
-    std::vector<std::string> types,
-    std::array<LinearFit, kMetricCount> pm_fits, LinearFit dom0,
-    LinearFit hyp) {
-  VOPROF_REQUIRE_MSG(!types.empty(), "typed model needs type names");
-  const std::size_t n_coef =
-      types.size() * kMetricCount + 1 + kMetricCount + 1;
-  for (const auto& f : pm_fits) {
-    VOPROF_REQUIRE_MSG(f.coef.size() == n_coef,
-                       "coefficient count mismatch in from_parts");
-  }
-  VOPROF_REQUIRE(dom0.coef.size() == n_coef);
-  VOPROF_REQUIRE(hyp.coef.size() == n_coef);
-  HeteroModel m;
-  m.types_ = std::move(types);
-  m.pm_fits_ = std::move(pm_fits);
-  m.dom0_fit_ = std::move(dom0);
-  m.hyp_fit_ = std::move(hyp);
-  m.trained_ = true;
-  return m;
-}
-
 }  // namespace voprof::model

@@ -10,7 +10,6 @@ namespace voprof::model {
 namespace {
 
 constexpr const char* kFormatHeader = "voprof-models v1";
-constexpr const char* kHeteroHeader = "voprof-hetero-model v1";
 
 void write_fit(std::ostream& os, const std::string& name,
                const LinearFit& f) {
@@ -20,8 +19,7 @@ void write_fit(std::ostream& os, const std::string& name,
   os << ' ' << f.residual_rms << ' ' << f.r_squared << '\n';
 }
 
-LinearFit read_fit_n(std::istream& is, const std::string& expected_name,
-                     std::size_t n_coef) {
+LinearFit read_fit(std::istream& is, const std::string& expected_name) {
   std::string tag, name;
   VOPROF_REQUIRE_MSG(static_cast<bool>(is >> tag >> name),
                      "truncated model file");
@@ -30,16 +28,12 @@ LinearFit read_fit_n(std::istream& is, const std::string& expected_name,
                      "unexpected fit record: got '" + name + "', want '" +
                          expected_name + "'");
   LinearFit f;
-  f.coef.resize(n_coef);
+  f.coef.resize(kMetricCount + 1);
   for (double& c : f.coef) {
     VOPROF_REQUIRE_MSG(static_cast<bool>(is >> c), "truncated fit record");
   }
   VOPROF_REQUIRE(static_cast<bool>(is >> f.residual_rms >> f.r_squared));
   return f;
-}
-
-LinearFit read_fit(std::istream& is, const std::string& expected_name) {
-  return read_fit_n(is, expected_name, kMetricCount + 1);
 }
 
 const std::array<std::string, kMetricCount> kMetricKeys = {"cpu", "mem",
@@ -76,15 +70,16 @@ TrainingSet training_set_from_csv(const util::CsvDocument& csv) {
 }
 
 void save_models(const TrainedModels& models, std::ostream& os) {
-  VOPROF_REQUIRE_MSG(models.single.trained() && models.multi.trained(),
+  VOPROF_REQUIRE_MSG(models.multi.trained(),
                      "cannot serialize untrained models");
+  const SingleVmModel& single = models.multi.base();
   os << kFormatHeader << '\n';
   for (std::size_t m = 0; m < kMetricCount; ++m) {
     write_fit(os, "single." + kMetricKeys[m],
-              models.single.fit_for(static_cast<MetricIndex>(m)));
+              single.fit_for(static_cast<MetricIndex>(m)));
   }
-  write_fit(os, "single.dom0_cpu", models.single.dom0_cpu_fit());
-  write_fit(os, "single.hyp_cpu", models.single.hyp_cpu_fit());
+  write_fit(os, "single.dom0_cpu", single.dom0_cpu_fit());
+  write_fit(os, "single.hyp_cpu", single.hyp_cpu_fit());
   for (std::size_t m = 0; m < kMetricCount; ++m) {
     write_fit(os, "multi.o." + kMetricKeys[m],
               models.multi.overhead_for(static_cast<MetricIndex>(m)));
@@ -126,9 +121,9 @@ util::Result<TrainedModels> load_models_result(std::istream& is) {
     LinearFit hyp_o = read_fit(is, "multi.o.hyp_cpu");
 
     TrainedModels out;
-    out.single = SingleVmModel::from_fits(single_fits, dom0, hyp);
-    out.multi = MultiVmModel::from_parts(out.single, std::move(overhead),
-                                         std::move(dom0_o), std::move(hyp_o));
+    out.multi = MultiVmModel::from_parts(
+        SingleVmModel::from_fits(single_fits, dom0, hyp), std::move(overhead),
+        std::move(dom0_o), std::move(hyp_o));
     return out;
   } catch (const util::ContractViolation& e) {
     return util::Error{util::Errc::kParse, e.what(), "models"};
@@ -160,60 +155,6 @@ void save_models_file(const TrainedModels& models, const std::string& path) {
   std::ofstream f(path);
   VOPROF_REQUIRE_MSG(f.good(), "cannot open model file for writing: " + path);
   save_models(models, f);
-}
-
-// -------------------------------------------------------- typed model
-void save_hetero_model(const HeteroModel& model, std::ostream& os) {
-  VOPROF_REQUIRE_MSG(model.trained(),
-                     "cannot serialize an untrained typed model");
-  os << kHeteroHeader << '\n';
-  os << "types";
-  for (const auto& t : model.types()) os << ' ' << t;
-  os << '\n';
-  for (std::size_t m = 0; m < kMetricCount; ++m) {
-    write_fit(os, "pm." + kMetricKeys[m],
-              model.fit_for(static_cast<MetricIndex>(m)));
-  }
-  write_fit(os, "dom0_cpu", model.dom0_fit());
-  write_fit(os, "hyp_cpu", model.hyp_fit());
-}
-
-std::string hetero_model_to_string(const HeteroModel& model) {
-  std::ostringstream os;
-  save_hetero_model(model, os);
-  return os.str();
-}
-
-HeteroModel load_hetero_model(std::istream& is) {
-  std::string header;
-  VOPROF_REQUIRE_MSG(static_cast<bool>(std::getline(is, header)),
-                     "empty typed-model file");
-  VOPROF_REQUIRE_MSG(header == kHeteroHeader,
-                     "unsupported typed-model header: '" + header + "'");
-  std::string types_line;
-  VOPROF_REQUIRE_MSG(static_cast<bool>(std::getline(is, types_line)),
-                     "missing types line");
-  std::istringstream ts(types_line);
-  std::string tag;
-  VOPROF_REQUIRE(static_cast<bool>(ts >> tag) && tag == "types");
-  std::vector<std::string> types;
-  std::string t;
-  while (ts >> t) types.push_back(t);
-  VOPROF_REQUIRE_MSG(!types.empty(), "typed model has no types");
-  const std::size_t n_coef = types.size() * kMetricCount + kMetricCount + 2;
-  std::array<LinearFit, kMetricCount> pm_fits;
-  for (std::size_t m = 0; m < kMetricCount; ++m) {
-    pm_fits[m] = read_fit_n(is, "pm." + kMetricKeys[m], n_coef);
-  }
-  LinearFit dom0 = read_fit_n(is, "dom0_cpu", n_coef);
-  LinearFit hyp = read_fit_n(is, "hyp_cpu", n_coef);
-  return HeteroModel::from_parts(std::move(types), std::move(pm_fits),
-                                 std::move(dom0), std::move(hyp));
-}
-
-HeteroModel hetero_model_from_string(const std::string& text) {
-  std::istringstream is(text);
-  return load_hetero_model(is);
 }
 
 }  // namespace voprof::model

@@ -129,10 +129,7 @@ TrainedModels Trainer::train(RegressionMethod method) const {
 TrainedModels Trainer::fit_models(TrainingSet data, RegressionMethod method,
                                   std::uint64_t seed) {
   TrainedModels out;
-  // The multi-VM model fits its single-VM base on the same rows with the
-  // same seed, so that base is the single-VM model.
   out.multi = MultiVmModel::fit(data, method, seed);
-  out.single = out.multi.base();
   out.data = std::move(data);
   return out;
 }

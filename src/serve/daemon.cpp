@@ -14,6 +14,7 @@
 #include "voprof/obs/metrics.hpp"
 #include "voprof/obs/trace.hpp"
 #include "voprof/util/json.hpp"
+#include "voprof/util/numeric.hpp"
 
 namespace voprof::serve {
 
@@ -48,7 +49,8 @@ void set_nonblocking(int fd) {
 struct Daemon::Conn {
   Fd fd;
   std::string inbuf;   ///< bytes received past the last complete line
-  std::string outbuf;  ///< response bytes not yet written
+  std::string outbuf;  ///< response bytes, the first out_sent of them written
+  std::size_t out_sent = 0;
   /// Close once outbuf drains (oversized line / protocol giveup).
   bool close_after_flush = false;
   /// Peer closed its write end; keep the connection alive only while
@@ -57,6 +59,16 @@ struct Daemon::Conn {
   /// Requests submitted on this connection without a delivered (or
   /// dropped) response yet. Event-loop thread only.
   int pending = 0;
+
+  [[nodiscard]] std::size_t unsent() const noexcept {
+    return outbuf.size() - out_sent;
+  }
+  /// Whether to take more requests. Not while unsent answers are at
+  /// the high-water mark: a client that writes without reading then
+  /// stalls in its own send.
+  [[nodiscard]] bool reading() const noexcept {
+    return !eof && !close_after_flush && unsent() < kOutputHighWaterBytes;
+  }
 };
 
 Daemon::Daemon(DaemonConfig config)
@@ -84,7 +96,7 @@ bool Daemon::drained() const {
   }
   for (const auto& [id, conn] : conns_) {
     (void)id;
-    if (!conn->outbuf.empty()) return false;
+    if (conn->unsent() != 0) return false;
   }
   return true;
 }
@@ -94,8 +106,7 @@ util::Result<bool> Daemon::run() {
     return util::Error{util::Errc::kValidation,
                        "daemon needs a socket path", "daemon"};
   }
-  util::Result<Fd> listener =
-      listen_unix(config_.socket_path, config_.listen_backlog);
+  util::Result<Fd> listener = listen_unix(config_.socket_path);
   if (!listener.ok()) return listener.error();
   listen_fd_ = std::move(listener).take();
   set_nonblocking(listen_fd_.get());
@@ -144,8 +155,8 @@ util::Result<bool> Daemon::run() {
     std::vector<int> pfd_conn(pfds.size(), -1);
     for (const auto& [id, conn] : conns_) {
       short events = 0;
-      if (!conn->eof) events |= POLLIN;
-      if (!conn->outbuf.empty()) events |= POLLOUT;
+      if (conn->reading()) events |= POLLIN;
+      if (conn->unsent() != 0) events |= POLLOUT;
       if (events == 0) continue;
       pfds.push_back({conn->fd.get(), events, 0});
       pfd_conn.push_back(id);
@@ -176,10 +187,10 @@ util::Result<bool> Daemon::run() {
       auto it = conns_.find(id);
       if (it == conns_.end()) continue;
       Conn& conn = *it->second;
-      if ((p.revents & (POLLIN | POLLHUP | POLLERR)) != 0 && !conn.eof) {
-        read_conn(id, conn);
-      }
-      if ((p.revents & POLLOUT) != 0) flush_conn(conn);
+      if ((p.revents & (POLLIN | POLLHUP | POLLERR)) != 0) read_conn(id, conn);
+      // A hung-up peer of a connection that is not being read shows up
+      // as a failed send here.
+      if ((p.revents & (POLLOUT | POLLHUP | POLLERR)) != 0) flush_conn(conn);
     }
 
     handle_completions();
@@ -188,9 +199,9 @@ util::Result<bool> Daemon::run() {
     // or peer gone with nothing left to deliver.
     for (auto it = conns_.begin(); it != conns_.end();) {
       Conn& conn = *it->second;
-      const bool done_closing = conn.close_after_flush && conn.outbuf.empty();
+      const bool done_closing = conn.close_after_flush && conn.unsent() == 0;
       const bool dead_peer =
-          conn.eof && conn.pending == 0 && conn.outbuf.empty();
+          conn.eof && conn.pending == 0 && conn.unsent() == 0;
       if (done_closing || !conn.fd.valid() || dead_peer) {
         it = conns_.erase(it);
       } else {
@@ -233,43 +244,46 @@ void Daemon::accept_new_connections() {
 
 void Daemon::read_conn(int id, Conn& conn) {
   char chunk[4096];
-  for (;;) {
+  while (conn.reading()) {
     const ssize_t n = ::recv(conn.fd.get(), chunk, sizeof(chunk), 0);
-    if (n > 0) {
-      conn.inbuf.append(chunk, static_cast<std::size_t>(n));
-      continue;
-    }
     if (n == 0) {
       conn.eof = true;
-      break;
+      return;
     }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    conn.fd.reset();  // hard error: reaped after the poll pass
-    return;
-  }
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      // A hard error closes the connection; it is reaped after the pass.
+      if (errno != EAGAIN && errno != EWOULDBLOCK) conn.fd.reset();
+      return;
+    }
+    // Earlier chunks left no complete line, so only the new bytes can
+    // end one.
+    std::size_t scan = conn.inbuf.size();
+    conn.inbuf.append(chunk, static_cast<std::size_t>(n));
+    std::size_t start = 0;
+    for (std::size_t nl = conn.inbuf.find('\n', scan);
+         nl != std::string::npos; nl = conn.inbuf.find('\n', scan)) {
+      std::string line = conn.inbuf.substr(start, nl - start);
+      start = scan = nl + 1;
+      if (!line.empty() && line.back() == '\r') line.pop_back();
+      if (!line.empty()) submit_conn_line(id, line);
+    }
+    conn.inbuf.erase(0, start);
 
-  std::size_t start = 0;
-  for (;;) {
-    const std::size_t nl = conn.inbuf.find('\n', start);
-    if (nl == std::string::npos) break;
-    std::string line = conn.inbuf.substr(start, nl - start);
-    start = nl + 1;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) continue;
-    submit_conn_line(id, line);
-  }
-  conn.inbuf.erase(0, start);
-
-  if (conn.inbuf.size() > config_.max_line_bytes) {
-    conn.inbuf.clear();
-    conn.outbuf += error_response(
-        "", ApiError::kBadRequest,
-        "request line exceeds " + std::to_string(config_.max_line_bytes) +
-            " bytes");
-    conn.outbuf.push_back('\n');
-    conn.close_after_flush = true;
-    flush_conn(conn);
+    if (conn.inbuf.size() > kMaxLineBytes) {
+      conn.inbuf.clear();
+      conn.outbuf += error_response(
+          "", ApiError::kBadRequest,
+          "request line exceeds " + std::to_string(kMaxLineBytes) +
+              " bytes");
+      conn.outbuf.push_back('\n');
+      conn.close_after_flush = true;
+      flush_conn(conn);
+      return;
+    }
+    // Rejections and control ops were answered inline: move them into
+    // outbuf so the high-water test above counts them.
+    handle_completions();
   }
 }
 
@@ -308,18 +322,25 @@ void Daemon::handle_completions() {
 }
 
 void Daemon::flush_conn(Conn& conn) {
-  while (!conn.outbuf.empty() && conn.fd.valid()) {
-    const ssize_t n = ::send(conn.fd.get(), conn.outbuf.data(),
-                             conn.outbuf.size(), MSG_NOSIGNAL);
+  while (conn.unsent() != 0 && conn.fd.valid()) {
+    const ssize_t n = ::send(conn.fd.get(), conn.outbuf.data() + conn.out_sent,
+                             conn.unsent(), MSG_NOSIGNAL);
     if (n > 0) {
-      conn.outbuf.erase(0, static_cast<std::size_t>(n));
+      conn.out_sent += static_cast<std::size_t>(n);
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
     conn.fd.reset();  // peer gone; undeliverable
     conn.outbuf.clear();
+    conn.out_sent = 0;
     return;
+  }
+  // Drop the written prefix once it is at least half the buffer, so each
+  // byte is moved at most once on average.
+  if (conn.out_sent != 0 && conn.out_sent * 2 >= conn.outbuf.size()) {
+    conn.outbuf.erase(0, conn.out_sent);
+    conn.out_sent = 0;
   }
 }
 
@@ -382,14 +403,18 @@ util::Result<DaemonConfig> daemon_config_from_args(
         util::Errc::kValidation,
         "need 1 <= --default-deadline-ms <= --max-deadline-ms", "serve"};
   }
-  config.service.train_duration_s = args.get_double("train-duration", 120.0);
-  if (config.service.train_duration_s <= 0) {
+  const double duration_s = args.get_double("train-duration", 120.0);
+  if (!(duration_s >= kMinTrainDurationS && duration_s <= kMaxTrainDurationS)) {
     return util::Error{util::Errc::kValidation,
-                       "--train-duration must be > 0", "serve"};
+                       "--train-duration must be between " +
+                           util::format_double(kMinTrainDurationS) + " and " +
+                           util::format_double(kMaxTrainDurationS) +
+                           " seconds",
+                       "serve"};
   }
+  config.service.train_duration_s = duration_s;
   config.service.default_seed =
       static_cast<std::uint64_t>(args.get_int("seed", 42));
-  config.service.inner_jobs = args.get_int("inner-jobs", 1);
   config.service.enable_test_ops = args.get_bool("enable-test-ops");
   return config;
 }
@@ -404,10 +429,12 @@ int daemon_main(const DaemonConfig& config) {
     std::cerr << "voprofd: " << outcome.error().to_string() << '\n';
     return 1;
   }
-  const Service::Stats stats = daemon.service().stats();
-  std::cerr << "voprofd: drained cleanly (" << stats.completed
-            << " completed, " << stats.timed_out << " timed out, "
-            << stats.rejected_overloaded << " rejected overloaded)\n";
+  obs::Registry& registry = obs::Registry::global();
+  std::cerr << "voprofd: drained cleanly ("
+            << registry.counter("serve.completed").value() << " completed, "
+            << registry.counter("serve.timed_out").value() << " timed out, "
+            << registry.counter("serve.rejected_overloaded").value()
+            << " rejected overloaded)\n";
   return 0;
 }
 

@@ -14,6 +14,7 @@
 #include "voprof/obs/trace.hpp"
 #include "voprof/runner/runner.hpp"
 #include "voprof/scenario/scenario.hpp"
+#include "voprof/util/numeric.hpp"
 #include "voprof/util/units.hpp"
 
 namespace voprof::serve {
@@ -40,8 +41,14 @@ void check_deadline(std::int64_t expires_us, const char* where) {
   }
 }
 
-// --- obs mirrors (function-local statics: registration is lazy and
-// the references are process-immortal, same idiom as the runner) -----
+/// Parallelism inside one request (training sweep fan-out, simulate
+/// replications). One, so concurrent requests share the workers
+/// fairly; trained models and simulate results do not depend on it.
+constexpr int kInnerJobs = 1;
+
+// --- serve.* counters, the one count of request outcomes (function-local
+// statics: registration is lazy and the references are process-immortal,
+// same idiom as the runner) -------------------------------------------
 obs::Counter& m_accepted() {
   static obs::Counter& c = obs::Registry::global().counter("serve.accepted");
   return c;
@@ -134,6 +141,20 @@ int int_param(const util::Json& params, const char* key, int def) {
   return i;
 }
 
+/// A training-sweep cell duration in seconds. The range check also
+/// keeps util::seconds from overflowing on a huge value.
+double duration_param(const util::Json& params, const char* key,
+                      double def) {
+  const double s = num_param(params, key, def);
+  if (!(s >= kMinTrainDurationS && s <= kMaxTrainDurationS)) {
+    fail(ApiError::kBadRequest,
+         std::string("param '") + key + "' must be between " +
+             util::format_double(kMinTrainDurationS) + " and " +
+             util::format_double(kMaxTrainDurationS) + " seconds");
+  }
+  return s;
+}
+
 std::string str_param(const util::Json& params, const char* key,
                       const std::string& def) {
   const util::Json* v = params.find(key);
@@ -213,7 +234,6 @@ Service::~Service() {
 void Service::submit_line(const std::string& line, Responder done) {
   util::Result<Request> parsed = parse_request(line);
   if (!parsed.ok()) {
-    bad_requests_.fetch_add(1, std::memory_order_relaxed);
     m_bad_requests().add();
     done(error_response("", ApiError::kBadRequest,
                         parsed.error().to_string()));
@@ -231,7 +251,6 @@ void Service::submit(Request req, Responder done) {
     return;
   }
   if (req.op == Op::kSleep && !config_.enable_test_ops) {
-    bad_requests_.fetch_add(1, std::memory_order_relaxed);
     m_bad_requests().add();
     done(error_response(req.id, ApiError::kBadRequest,
                         "op 'sleep' is a diagnostics op; this server does "
@@ -239,7 +258,6 @@ void Service::submit(Request req, Responder done) {
     return;
   }
   if (draining_.load(std::memory_order_acquire)) {
-    rejected_shutting_down_.fetch_add(1, std::memory_order_relaxed);
     m_rejected_shutting_down().add();
     done(error_response(req.id, ApiError::kShuttingDown,
                         "server is draining; no new work is admitted"));
@@ -252,7 +270,6 @@ void Service::submit(Request req, Responder done) {
   const std::size_t prev = in_flight_.fetch_add(1, std::memory_order_acq_rel);
   if (prev >= config_.queue_capacity) {
     in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-    rejected_overloaded_.fetch_add(1, std::memory_order_relaxed);
     m_rejected_overloaded().add();
     done(error_response(
         req.id, ApiError::kOverloaded,
@@ -260,7 +277,6 @@ void Service::submit(Request req, Responder done) {
             " requests in flight); retry later"));
     return;
   }
-  accepted_.fetch_add(1, std::memory_order_relaxed);
   m_accepted().add();
   m_queue_depth().set(static_cast<double>(prev + 1));
 
@@ -297,19 +313,6 @@ std::size_t Service::in_flight() const noexcept {
   return in_flight_.load(std::memory_order_acquire);
 }
 
-Service::Stats Service::stats() const noexcept {
-  Stats s;
-  s.accepted = accepted_.load(std::memory_order_relaxed);
-  s.completed = completed_.load(std::memory_order_relaxed);
-  s.failed = failed_.load(std::memory_order_relaxed);
-  s.timed_out = timed_out_.load(std::memory_order_relaxed);
-  s.rejected_overloaded = rejected_overloaded_.load(std::memory_order_relaxed);
-  s.rejected_shutting_down =
-      rejected_shutting_down_.load(std::memory_order_relaxed);
-  s.bad_requests = bad_requests_.load(std::memory_order_relaxed);
-  return s;
-}
-
 std::int64_t Service::expiry_for(std::int64_t deadline_ms) const {
   std::int64_t ms =
       deadline_ms > 0 ? deadline_ms : config_.default_deadline_ms;
@@ -330,7 +333,6 @@ void Service::run_request(const Request& req, std::int64_t expires_us,
   std::string response;
   if (t0 >= expires_us) {
     // Expired while queued: answer without running the work at all.
-    timed_out_.fetch_add(1, std::memory_order_relaxed);
     m_timed_out().add();
     response = error_response(req.id, ApiError::kTimedOut,
                               "deadline expired while queued");
@@ -338,20 +340,16 @@ void Service::run_request(const Request& req, std::int64_t expires_us,
     try {
       VOPROF_WALL_SPAN("serve", op_name(req.op));
       util::Json result = dispatch(req, expires_us);
-      completed_.fetch_add(1, std::memory_order_relaxed);
       m_completed().add();
       response = ok_response(req.id, std::move(result));
     } catch (const ApiFailure& f) {
       if (f.code == ApiError::kTimedOut) {
-        timed_out_.fetch_add(1, std::memory_order_relaxed);
         m_timed_out().add();
       } else {
-        failed_.fetch_add(1, std::memory_order_relaxed);
         m_failed().add();
       }
       response = error_response(req.id, f.code, f.message);
     } catch (const std::exception& e) {
-      failed_.fetch_add(1, std::memory_order_relaxed);
       m_failed().add();
       response = error_response(req.id, ApiError::kInternal, e.what());
     }
@@ -405,20 +403,15 @@ util::Json Service::op_predict(const util::Json& params,
   const int n_vms = int_param(params, "vms", 1);
   if (n_vms < 1) fail(ApiError::kBadRequest, "param 'vms' must be >= 1");
   const double duration_s =
-      num_param(params, "train_duration_s", config_.train_duration_s);
-  if (duration_s <= 0) {
-    fail(ApiError::kBadRequest, "param 'train_duration_s' must be > 0");
-  }
+      duration_param(params, "train_duration_s", config_.train_duration_s);
   const std::uint64_t seed = static_cast<std::uint64_t>(int_param(
       params, "seed", static_cast<int>(config_.default_seed)));
 
   // First use of a (method, duration, seed) cell trains the models;
-  // afterwards the process-wide cache answers instantly. The fitted
-  // coefficients are independent of inner_jobs, so responses are
-  // byte-identical no matter how the daemon is parallelized.
+  // afterwards the process-wide cache answers instantly.
   check_deadline(expires_us, "before training");
   const model::TrainedModels& models = runner::model_cache().get(
-      method, util::seconds(duration_s), seed, config_.inner_jobs);
+      method, util::seconds(duration_s), seed, kInnerJobs);
   check_deadline(expires_us, "after training");
 
   return predict_result_json(models, sum, n_vms);
@@ -447,7 +440,7 @@ util::Json Service::op_simulate(const util::Json& params,
   scenario::ReplicatedScenarioResult result;
   try {
     result = scenario::run_scenario_replicated(
-        spec, static_cast<std::size_t>(replications), config_.inner_jobs,
+        spec, static_cast<std::size_t>(replications), kInnerJobs,
         [expires_us]() { return obs::monotonic_us() < expires_us; });
   } catch (const scenario::TraceInputError& e) {
     fail(ApiError::kBadRequest, e.error().to_string());
@@ -466,16 +459,13 @@ util::Json Service::op_train(const util::Json& params,
   check_param_keys(params, {"method", "duration_s", "seed"});
   const model::RegressionMethod method = method_param(params);
   const double duration_s =
-      num_param(params, "duration_s", config_.train_duration_s);
-  if (duration_s <= 0) {
-    fail(ApiError::kBadRequest, "param 'duration_s' must be > 0");
-  }
+      duration_param(params, "duration_s", config_.train_duration_s);
   const std::uint64_t seed = static_cast<std::uint64_t>(int_param(
       params, "seed", static_cast<int>(config_.default_seed)));
 
   check_deadline(expires_us, "before training");
   const model::TrainedModels& models = runner::model_cache().get(
-      method, util::seconds(duration_s), seed, config_.inner_jobs);
+      method, util::seconds(duration_s), seed, kInnerJobs);
   check_deadline(expires_us, "after training");
 
   util::Json result = util::Json::object();
@@ -510,20 +500,21 @@ util::Json Service::op_sleep(const util::Json& params,
 }
 
 util::Json Service::status_json() const {
-  const Stats s = stats();
+  const auto count = [](const obs::Counter& c) {
+    return static_cast<double>(c.value());
+  };
   util::Json j = util::Json::object();
   j.set("jobs", static_cast<double>(pool_.jobs()));
   j.set("queue_capacity", static_cast<double>(config_.queue_capacity));
   j.set("in_flight", static_cast<double>(in_flight()));
   j.set("draining", draining());
-  j.set("accepted", static_cast<double>(s.accepted));
-  j.set("completed", static_cast<double>(s.completed));
-  j.set("failed", static_cast<double>(s.failed));
-  j.set("timed_out", static_cast<double>(s.timed_out));
-  j.set("rejected_overloaded", static_cast<double>(s.rejected_overloaded));
-  j.set("rejected_shutting_down",
-        static_cast<double>(s.rejected_shutting_down));
-  j.set("bad_requests", static_cast<double>(s.bad_requests));
+  j.set("accepted", count(m_accepted()));
+  j.set("completed", count(m_completed()));
+  j.set("failed", count(m_failed()));
+  j.set("timed_out", count(m_timed_out()));
+  j.set("rejected_overloaded", count(m_rejected_overloaded()));
+  j.set("rejected_shutting_down", count(m_rejected_shutting_down()));
+  j.set("bad_requests", count(m_bad_requests()));
   j.set("test_ops", config_.enable_test_ops);
   return j;
 }

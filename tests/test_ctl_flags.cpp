@@ -1,6 +1,5 @@
-/// The shared voprofctl/voprofd flag table: uniform spellings,
-/// deprecated-alias rewriting with warnings, and strict rejection of
-/// unknown flags and stray positionals.
+/// The shared voprofctl/voprofd flag table: uniform spellings and
+/// strict rejection of unknown flags and stray positionals.
 
 #include "ctl_flags.hpp"
 
@@ -9,6 +8,8 @@
 #include <algorithm>
 #include <string>
 #include <vector>
+
+#include "voprof/serve/daemon.hpp"
 
 namespace voprof::tools {
 namespace {
@@ -35,38 +36,10 @@ TEST(CtlFlags, ParsesKnownFlagsIntoCliArgs) {
       parse_flags("simulate", {"--scenario", "s.conf", "--replications", "5",
                                "--jobs", "3", "--format", "json"});
   ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
-  EXPECT_TRUE(parsed.value().warnings.empty());
-  EXPECT_EQ(parsed.value().args.get("scenario"), "s.conf");
-  EXPECT_EQ(parsed.value().args.get_int("replications", 0), 5);
-  EXPECT_EQ(parsed.value().args.get_int("jobs", 0), 3);
-  EXPECT_EQ(parsed.value().args.get_or("format", "table"), "json");
-}
-
-TEST(CtlFlags, DeprecatedSpellingsAreRewrittenWithAWarning) {
-  const auto simulate =
-      parse_flags("simulate", {"--scenario", "s.conf", "--csv", "out.csv"});
-  ASSERT_TRUE(simulate.ok());
-  EXPECT_FALSE(simulate.value().args.has("csv"));
-  EXPECT_EQ(simulate.value().args.get("series-out"), "out.csv");
-  ASSERT_EQ(simulate.value().warnings.size(), 1u);
-  EXPECT_EQ(simulate.value().warnings[0],
-            "--csv is deprecated; use --series-out");
-
-  const auto fit =
-      parse_flags("fit", {"--trace", "data.csv", "--out", "m.txt"});
-  ASSERT_TRUE(fit.ok());
-  EXPECT_EQ(fit.value().args.get("observations"), "data.csv");
-  ASSERT_EQ(fit.value().warnings.size(), 1u);
-  EXPECT_EQ(fit.value().warnings[0],
-            "--trace is deprecated; use --observations");
-}
-
-TEST(CtlFlags, AliasesAreScopedToTheirCommand) {
-  // `simulate` has no --trace alias: there it is simply unknown.
-  const auto parsed =
-      parse_flags("simulate", {"--scenario", "s.conf", "--trace", "x"});
-  ASSERT_FALSE(parsed.ok());
-  EXPECT_EQ(parsed.error().code, util::Errc::kValidation);
+  EXPECT_EQ(parsed.value().get("scenario"), "s.conf");
+  EXPECT_EQ(parsed.value().get_int("replications", 0), 5);
+  EXPECT_EQ(parsed.value().get_int("jobs", 0), 3);
+  EXPECT_EQ(parsed.value().get_or("format", "table"), "json");
 }
 
 TEST(CtlFlags, UnknownFlagsAreRejectedWithTheValidList) {
@@ -98,15 +71,37 @@ TEST(CtlFlags, BooleanSwitchesTakeNoValue) {
   const auto parsed = parse_flags(
       "serve", {"--socket", "/tmp/s.sock", "--enable-test-ops"});
   ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
-  EXPECT_TRUE(parsed.value().args.get_bool("enable-test-ops"));
-  EXPECT_EQ(parsed.value().args.get("socket"), "/tmp/s.sock");
+  EXPECT_TRUE(parsed.value().get_bool("enable-test-ops"));
+  EXPECT_EQ(parsed.value().get("socket"), "/tmp/s.sock");
+}
+
+// voprofd's path from argv to its config: a training duration outside
+// [kMinTrainDurationS, kMaxTrainDurationS] is refused at startup.
+TEST(CtlFlags, ServeFlagsBuildAValidatedDaemonConfig) {
+  const auto config_for = [](const std::string& duration) {
+    const auto parsed = parse_flags(
+        "serve", {"--socket", "/tmp/s.sock", "--train-duration", duration});
+    EXPECT_TRUE(parsed.ok()) << parsed.error().to_string();
+    return serve::daemon_config_from_args(parsed.value());
+  };
+  const auto ok = config_for("30");
+  ASSERT_TRUE(ok.ok()) << ok.error().to_string();
+  EXPECT_EQ(ok.value().service.train_duration_s, 30.0);
+  for (const char* bad : {"0.5", "0.999999", "1e-300", "1e300", "0", "-5"}) {
+    const auto refused = config_for(bad);
+    ASSERT_FALSE(refused.ok()) << bad;
+    EXPECT_EQ(refused.error().code, util::Errc::kValidation) << bad;
+    EXPECT_NE(refused.error().message.find("--train-duration"),
+              std::string::npos)
+        << bad;
+  }
 }
 
 TEST(CtlFlags, ArgvEntryPointSkipsTheCommandWords) {
   const char* argv[] = {"voprofctl", "predict", "--models", "m.txt"};
   const auto parsed = parse_flags_argv("predict", 4, argv, 2);
   ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed.value().args.get("models"), "m.txt");
+  EXPECT_EQ(parsed.value().get("models"), "m.txt");
 }
 
 TEST(CtlFlags, MissingFlagValueIsAValidationError) {
@@ -121,7 +116,7 @@ TEST(CtlFlags, HelpIsASwitchOnEveryCommand) {
     for (const char* spelling : {"--help", "-h"}) {
       const auto parsed = parse_flags(cmd, {spelling});
       ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
-      EXPECT_TRUE(parsed.value().args.get_bool(kHelpFlag));
+      EXPECT_TRUE(parsed.value().get_bool(kHelpFlag));
     }
     // The usage text names the command and documents every flag.
     const std::string usage = command_usage(cmd);
@@ -134,10 +129,10 @@ TEST(CtlFlags, HelpIsASwitchOnEveryCommand) {
   // Alongside other flags, and never mistaken for a flag value.
   const auto train = parse_flags("train", {"--out", "m.txt", "--help"});
   ASSERT_TRUE(train.ok()) << train.error().to_string();
-  EXPECT_TRUE(train.value().args.get_bool(kHelpFlag));
+  EXPECT_TRUE(train.value().get_bool(kHelpFlag));
   EXPECT_FALSE(parse_flags("train", {"--out"}).ok());
   EXPECT_FALSE(
-      parse_flags("train", {}).value().args.get_bool(kHelpFlag));
+      parse_flags("train", {}).value().get_bool(kHelpFlag));
   EXPECT_EQ(command_usage("serve", "voprofd").rfind("usage: voprofd\n", 0),
             0u);
   EXPECT_TRUE(command_usage("trainx").empty());

@@ -86,18 +86,6 @@ TEST(Golden, TrainedModels) {
   }
 }
 
-TEST(Golden, MicroSweepCsv) {
-  runner::MicroSweepConfig config;
-  config.vm_counts = {1, 2};
-  config.duration = util::seconds(5.0);
-  for (const int jobs : kJobs) {
-    runner::RunOptions opts;
-    opts.jobs = jobs;
-    expect_pinned("micro_sweep.csv", jobs,
-                  runner::run_micro_sweep(config, opts).str());
-  }
-}
-
 // One Fig. 10 cell per algorithm under the heaviest scenario, the two
 // cells fanned over the runner's pool.
 TEST(Golden, PlacementCells) {

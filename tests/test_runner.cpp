@@ -15,12 +15,6 @@
 namespace voprof::runner {
 namespace {
 
-RunOptions jobs_opts(int jobs) {
-  RunOptions opts;
-  opts.jobs = jobs;
-  return opts;
-}
-
 TEST(SeedFor, IsPureAndIndexSensitive) {
   EXPECT_EQ(util::seed_for(42, 0), util::seed_for(42, 0));
   EXPECT_NE(util::seed_for(42, 0), util::seed_for(42, 1));
@@ -64,41 +58,6 @@ TEST(RunOptions, RejectsUnknownFlagsAndBadValues) {
   EXPECT_THROW((void)options_from_cli(3, negative), util::ContractViolation);
   const char* positional[] = {"bench", "fast"};
   EXPECT_THROW((void)options_from_cli(2, positional), util::ContractViolation);
-}
-
-MicroSweepConfig small_sweep() {
-  MicroSweepConfig config;
-  config.vm_counts = {1, 2};
-  config.kinds = {wl::WorkloadKind::kCpu, wl::WorkloadKind::kIo};
-  config.levels = 2;
-  config.duration = util::seconds(3.0);
-  return config;
-}
-
-TEST(MicroSweep, ByteIdenticalAcrossJobCounts) {
-  const MicroSweepConfig config = small_sweep();
-  const std::string serial = run_micro_sweep(config, jobs_opts(1)).str();
-  EXPECT_EQ(serial, run_micro_sweep(config, jobs_opts(2)).str());
-  EXPECT_EQ(serial, run_micro_sweep(config, jobs_opts(8)).str());
-}
-
-TEST(MicroSweep, EmitsOneRowPerCellPlusSummary) {
-  const MicroSweepConfig config = small_sweep();
-  const util::CsvDocument doc = run_micro_sweep(config, jobs_opts(1));
-  // 2 vm_counts x 2 kinds x 2 levels + summary row.
-  EXPECT_EQ(doc.row_count(), 9u);
-  EXPECT_EQ(doc.at(8, "kind"), -1.0);
-  // The summary row merges every cell's sample count.
-  double samples = 0.0;
-  for (std::size_t r = 0; r < 8; ++r) samples += doc.at(r, "samples");
-  EXPECT_EQ(doc.at(8, "samples"), samples);
-}
-
-TEST(MicroSweep, BaseSeedChangesTheData) {
-  MicroSweepConfig config = small_sweep();
-  const std::string a = run_micro_sweep(config, jobs_opts(2)).str();
-  config.base_seed = 43;
-  EXPECT_NE(a, run_micro_sweep(config, jobs_opts(2)).str());
 }
 
 TEST(ModelCache, TrainsOncePerKey) {

@@ -85,7 +85,6 @@ TrainedModels* ModelSerialization::models_ = nullptr;
 TEST_F(ModelSerialization, RoundTripPreservesPredictions) {
   const std::string text = models_to_string(*models_);
   const TrainedModels back = models_from_string_result(text).take();
-  ASSERT_TRUE(back.single.trained());
   ASSERT_TRUE(back.multi.trained());
   for (int n : {1, 2, 3, 4}) {
     const UtilVec probe{40.0 * n, 100.0 * n, 20.0 * n, 300.0 * n};
@@ -103,8 +102,8 @@ TEST_F(ModelSerialization, RoundTripPreservesPredictions) {
 TEST_F(ModelSerialization, RoundTripPreservesFitQuality) {
   const TrainedModels back =
       models_from_string_result(models_to_string(*models_)).take();
-  const LinearFit& a = models_->single.fit_for(MetricIndex::kCpu);
-  const LinearFit& b = back.single.fit_for(MetricIndex::kCpu);
+  const LinearFit& a = models_->multi.base().fit_for(MetricIndex::kCpu);
+  const LinearFit& b = back.multi.base().fit_for(MetricIndex::kCpu);
   EXPECT_DOUBLE_EQ(a.residual_rms, b.residual_rms);
   EXPECT_DOUBLE_EQ(a.r_squared, b.r_squared);
 }
@@ -141,80 +140,6 @@ TEST_F(ModelSerialization, MissingFileRejected) {
   const auto loaded = load_models_file_result("/nonexistent/voprof.txt");
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.error().code, util::Errc::kIo);
-}
-
-// ------------------------------------------------------- typed model
-HeteroTrainingSet hetero_synthetic(std::uint64_t seed) {
-  util::Rng rng(seed);
-  HeteroTrainingSet data;
-  const std::vector<std::vector<int>> mixes = {{1, 0}, {0, 1}, {1, 1},
-                                               {2, 1}};
-  for (const auto& mix : mixes) {
-    for (int i = 0; i < 120; ++i) {
-      HeteroRow r;
-      UtilVec grand;
-      int total = 0;
-      double pm_cpu = 20.0;
-      const char* names[] = {"A", "B"};
-      const double slope[] = {1.2, 1.5};
-      for (int t = 0; t < 2; ++t) {
-        if (mix[static_cast<std::size_t>(t)] == 0) continue;
-        const int n = mix[static_cast<std::size_t>(t)];
-        TypeObservation obs;
-        obs.count = n;
-        obs.sum = UtilVec{rng.uniform(0, 100.0 * n), rng.uniform(80, 150.0 * n),
-                          rng.uniform(0, 90.0 * n), rng.uniform(0, 600.0 * n)};
-        pm_cpu += slope[t] * obs.sum.cpu + 0.01 * obs.sum.bw;
-        grand += obs.sum;
-        total += n;
-        r.types[names[t]] = obs;
-      }
-      const double alpha = MultiVmModel::alpha(total);
-      pm_cpu += alpha * 1.0;
-      r.pm = UtilVec{pm_cpu, 752 + grand.mem, 18.8 + 2.05 * grand.io,
-                     2.0 + grand.bw};
-      r.dom0_cpu = 16.8 + 0.05 * grand.cpu;
-      r.hyp_cpu = 3.0 + 0.03 * grand.cpu;
-      data.add(std::move(r));
-    }
-  }
-  return data;
-}
-
-TEST(HeteroSerialization, RoundTripPreservesPredictions) {
-  const HeteroModel m =
-      HeteroModel::fit(hetero_synthetic(7), RegressionMethod::kOls);
-  const HeteroModel back =
-      hetero_model_from_string(hetero_model_to_string(m));
-  ASSERT_TRUE(back.trained());
-  EXPECT_EQ(back.types(), m.types());
-  std::map<std::string, TypeObservation> probe;
-  TypeObservation a;
-  a.count = 2;
-  a.sum = UtilVec{120, 200, 30, 400};
-  probe["A"] = a;
-  TypeObservation b;
-  b.count = 1;
-  b.sum = UtilVec{150, 110, 50, 100};
-  probe["B"] = b;
-  EXPECT_DOUBLE_EQ(m.predict(probe).cpu, back.predict(probe).cpu);
-  EXPECT_DOUBLE_EQ(m.predict_pm_cpu_indirect(probe),
-                   back.predict_pm_cpu_indirect(probe));
-}
-
-TEST(HeteroSerialization, RejectsGarbage) {
-  EXPECT_THROW((void)hetero_model_from_string(""), util::ContractViolation);
-  EXPECT_THROW((void)hetero_model_from_string("wrong-header\n"),
-               util::ContractViolation);
-  const HeteroModel m =
-      HeteroModel::fit(hetero_synthetic(8), RegressionMethod::kOls);
-  std::string text = hetero_model_to_string(m);
-  text.resize(text.size() * 2 / 3);
-  EXPECT_THROW((void)hetero_model_from_string(text),
-               util::ContractViolation);
-  HeteroModel untrained;
-  EXPECT_THROW((void)hetero_model_to_string(untrained),
-               util::ContractViolation);
 }
 
 }  // namespace

@@ -6,14 +6,21 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/time.h>
+
+#include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <fstream>
 #include <future>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "voprof/obs/metrics.hpp"
 #include "voprof/obs/trace.hpp"
 #include "voprof/runner/runner.hpp"
 #include "voprof/serve/api.hpp"
@@ -118,6 +125,34 @@ struct Sink {
   }
 };
 
+/// The serve.* outcome counters live in the process-wide obs registry,
+/// so a case reads how far they moved since it began. That holds
+/// whether ctest runs one test per process or the binary runs them all.
+class ServeCounters {
+ public:
+  ServeCounters() {
+    for (const char* name :
+         {"accepted", "completed", "failed", "timed_out",
+          "rejected_overloaded", "rejected_shutting_down", "bad_requests"}) {
+      base_[name] = now(name);
+    }
+  }
+  /// serve.<name> as the registry holds it now.
+  static std::uint64_t now(const std::string& name) {
+    return obs::Registry::global().counter("serve." + name).value();
+  }
+  /// serve.<name> events since construction.
+  [[nodiscard]] std::uint64_t delta(const std::string& name) const {
+    return now(name) - base_.at(name);
+  }
+  [[nodiscard]] const std::map<std::string, std::uint64_t>& names() const {
+    return base_;
+  }
+
+ private:
+  std::map<std::string, std::uint64_t> base_;
+};
+
 std::string error_code_of(const std::string& line) {
   const util::Json doc = util::Json::parse(line);
   if (doc.at("ok").as_bool()) return "";
@@ -126,6 +161,7 @@ std::string error_code_of(const std::string& line) {
 
 TEST(Service, SaturationGetsStructuredOverloadedNotBlocking) {
   Service service(test_config());  // 1 worker, 2 admission slots
+  const ServeCounters counters;
   Sink sink;
   // Two long sleeps fill the queue (one running, one queued)...
   service.submit_line(R"({"op":"sleep","params":{"ms":300}})",
@@ -154,23 +190,25 @@ TEST(Service, SaturationGetsStructuredOverloadedNotBlocking) {
   const util::Json status =
       util::Json::parse(service.handle_line(R"({"op":"status"})"));
   ASSERT_TRUE(status.at("ok").as_bool());
-  EXPECT_EQ(status.at("result").at("rejected_overloaded").as_number(), 4.0);
+  EXPECT_EQ(counters.delta("rejected_overloaded"), 4u);
+  EXPECT_EQ(status.at("result").at("rejected_overloaded").as_number(),
+            static_cast<double>(ServeCounters::now("rejected_overloaded")));
 
   service.begin_drain();
   service.wait_idle();
-  const Service::Stats stats = service.stats();
-  EXPECT_EQ(stats.accepted, 2u);
-  EXPECT_EQ(stats.completed, 2u);
-  EXPECT_EQ(stats.rejected_overloaded, 4u);
+  EXPECT_EQ(counters.delta("accepted"), 2u);
+  EXPECT_EQ(counters.delta("completed"), 2u);
+  EXPECT_EQ(counters.delta("rejected_overloaded"), 4u);
   EXPECT_EQ(sink.take().size(), 2u);
 }
 
 TEST(Service, DeadlineExpiryMidRequestIsTimedOut) {
   Service service(test_config());
+  const ServeCounters counters;
   const std::string response = service.handle_line(
       R"({"op":"sleep","deadline_ms":40,"params":{"ms":5000}})");
   EXPECT_EQ(error_code_of(response), "timed_out");
-  EXPECT_EQ(service.stats().timed_out, 1u);
+  EXPECT_EQ(counters.delta("timed_out"), 1u);
 }
 
 TEST(Service, DeadlineExpiryWhileQueuedIsTimedOut) {
@@ -192,6 +230,7 @@ TEST(Service, DrainRejectsNewWorkAndCompletesAdmitted) {
   config.jobs = 2;
   config.queue_capacity = 8;
   Service service(config);
+  const ServeCounters counters;
   Sink sink;
   for (int i = 0; i < 4; ++i) {
     service.submit_line(R"({"op":"sleep","params":{"ms":80}})",
@@ -207,9 +246,8 @@ TEST(Service, DrainRejectsNewWorkAndCompletesAdmitted) {
   // decrement).
   service.wait_idle();
   EXPECT_EQ(sink.take().size(), 4u);
-  const Service::Stats stats = service.stats();
-  EXPECT_EQ(stats.completed, 4u);
-  EXPECT_EQ(stats.rejected_shutting_down, 1u);
+  EXPECT_EQ(counters.delta("completed"), 4u);
+  EXPECT_EQ(counters.delta("rejected_shutting_down"), 1u);
 }
 
 TEST(Service, DrainOpDrainsViaTheWire) {
@@ -228,6 +266,7 @@ TEST(Service, DrainOpDrainsViaTheWire) {
 
 TEST(Service, BadParamsAreBadRequests) {
   Service service(test_config());
+  const ServeCounters counters;
   EXPECT_EQ(error_code_of(service.handle_line(
                 R"({"op":"predict","params":{"cpu":"lots"}})")),
             "bad_request");
@@ -254,9 +293,63 @@ TEST(Service, BadParamsAreBadRequests) {
               std::string::npos)
         << line;
   }
-  const Service::Stats stats = service.stats();
-  EXPECT_EQ(stats.failed, 7u);
-  EXPECT_EQ(stats.completed, 0u);
+  // A training duration outside [1 s, 600 s] is refused before any
+  // training: a shorter cell holds no 1 s sample, and a huge one would
+  // overflow util::seconds.
+  for (const char* line :
+       {R"({"op":"predict","params":{"train_duration_s":0.5}})",
+        R"({"op":"predict","params":{"train_duration_s":0.999999}})",
+        R"({"op":"predict","params":{"train_duration_s":1e-300}})",
+        R"({"op":"predict","params":{"train_duration_s":1e300}})",
+        R"({"op":"train","params":{"duration_s":1e-9}})",
+        R"({"op":"train","params":{"duration_s":601}})",
+        R"({"op":"train","params":{"duration_s":1e300}})"}) {
+    const util::Json doc = util::Json::parse(service.handle_line(line));
+    EXPECT_EQ(doc.at("error").at("code").as_string(), "bad_request") << line;
+    EXPECT_NE(doc.at("error").at("message").as_string().find(
+                  "must be between 1 and 600 seconds"),
+              std::string::npos)
+        << line;
+  }
+  EXPECT_EQ(counters.delta("failed"), 14u);
+  EXPECT_EQ(counters.delta("completed"), 0u);
+}
+
+// `status` reports the serve.* registry counters, the one count of
+// request outcomes, after a mix of every kind of outcome.
+TEST(Service, StatusReportsTheRegistryCounters) {
+  Service service(test_config());  // 1 worker, 2 admission slots
+  const ServeCounters counters;
+  Sink sink;
+  service.submit_line("{not json", sink.responder());
+  service.submit_line(R"({"op":"predict","params":{"cpu":"lots"}})",
+                      sink.responder());
+  service.wait_idle();
+  for (int i = 0; i < 5; ++i) {
+    service.submit_line(R"({"op":"sleep","params":{"ms":300}})",
+                        sink.responder());
+  }
+  service.begin_drain();
+  service.submit_line(R"({"op":"sleep","params":{"ms":1}})",
+                      sink.responder());
+  service.wait_idle();
+  EXPECT_EQ(sink.take().size(), 8u);
+
+  EXPECT_EQ(counters.delta("bad_requests"), 1u);
+  EXPECT_EQ(counters.delta("accepted"), 3u);
+  EXPECT_EQ(counters.delta("failed"), 1u);
+  EXPECT_EQ(counters.delta("completed"), 2u);
+  EXPECT_EQ(counters.delta("rejected_overloaded"), 3u);
+  EXPECT_EQ(counters.delta("rejected_shutting_down"), 1u);
+  const util::Json status =
+      util::Json::parse(service.handle_line(R"({"op":"status"})"));
+  ASSERT_TRUE(status.at("ok").as_bool());
+  for (const auto& [name, base] : counters.names()) {
+    (void)base;
+    EXPECT_EQ(status.at("result").at(name).as_number(),
+              static_cast<double>(ServeCounters::now(name)))
+        << name;
+  }
 }
 
 // A simulate may name any file as a VM trace. When that file is not a
@@ -315,10 +408,11 @@ TEST(Service, ConcurrentPredictionsMatchLibraryByteForByte) {
   });
 
   // The library-side answer, computed through the same process-wide
-  // cache with the same training key the service uses.
+  // cache with the same training key the service uses (jobs is not part
+  // of the key).
   const model::TrainedModels& models = runner::model_cache().get(
       model::RegressionMethod::kLms, util::seconds(config.train_duration_s),
-      config.default_seed, config.inner_jobs);
+      config.default_seed, 1);
   const std::string expected = ok_response(
       "p", predict_result_json(models, model::UtilVec{40, 512, 100, 2000}, 2));
   for (const std::string& line : responses) {
@@ -327,6 +421,17 @@ TEST(Service, ConcurrentPredictionsMatchLibraryByteForByte) {
 }
 
 // -------------------------------------------------------------- daemon
+/// Connect to an in-process daemon, retrying while its listener comes
+/// up (the daemon unlinks stale sockets itself).
+util::Result<LineClient> connect_when_up(const std::string& path) {
+  util::Result<LineClient> client = LineClient::connect(path);
+  for (int i = 0; i < 200 && !client.ok(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    client = LineClient::connect(path);
+  }
+  return client;
+}
+
 TEST(Daemon, SocketRoundTripDrainAndMalformedLine) {
   DaemonConfig config;
   config.socket_path = ::testing::TempDir() + "voprofd_test.sock";
@@ -340,13 +445,7 @@ TEST(Daemon, SocketRoundTripDrainAndMalformedLine) {
     return result.ok();
   });
 
-  // The daemon unlinks stale sockets itself; connect with retries while
-  // the listener comes up.
-  util::Result<LineClient> client = LineClient::connect(config.socket_path);
-  for (int i = 0; i < 200 && !client.ok(); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    client = LineClient::connect(config.socket_path);
-  }
+  util::Result<LineClient> client = connect_when_up(config.socket_path);
   ASSERT_TRUE(client.ok()) << client.error().to_string();
 
   const auto status =
@@ -381,17 +480,14 @@ TEST(Daemon, RequestStopDrainsWithWorkInFlight) {
   config.service.queue_capacity = 8;
 
   Daemon daemon(config);
+  const ServeCounters counters;
   util::TaskPool runner_thread(1, util::TaskPool::Threading::kAlwaysThreaded);
   std::future<bool> outcome = runner_thread.submit([&daemon]() {
     const util::Result<bool> result = daemon.run();
     return result.ok();
   });
 
-  util::Result<LineClient> client = LineClient::connect(config.socket_path);
-  for (int i = 0; i < 200 && !client.ok(); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    client = LineClient::connect(config.socket_path);
-  }
+  util::Result<LineClient> client = connect_when_up(config.socket_path);
   ASSERT_TRUE(client.ok()) << client.error().to_string();
 
   // Pipeline three requests, then stop the daemon while they run. All
@@ -426,8 +522,63 @@ TEST(Daemon, RequestStopDrainsWithWorkInFlight) {
     ++sleeps_answered;
   }
   EXPECT_TRUE(outcome.get());
-  const Service::Stats stats = daemon.service().stats();
-  EXPECT_EQ(stats.completed, 3u);
+  EXPECT_EQ(counters.delta("completed"), 3u);
+}
+
+// A client that pipelines requests and never reads its answers: once
+// its unsent answers reach kOutputHighWaterBytes the daemon stops
+// reading it, so the client's own send stalls after a bounded number
+// of bytes, and other connections are still served.
+TEST(Daemon, ClientThatNeverReadsStallsInItsOwnSend) {
+  DaemonConfig config;
+  config.socket_path = ::testing::TempDir() + "voprofd_test3.sock";
+  config.install_signal_handlers = false;
+  config.service = test_config();
+
+  Daemon daemon(config);
+  util::TaskPool runner_thread(1, util::TaskPool::Threading::kAlwaysThreaded);
+  std::future<bool> outcome = runner_thread.submit([&daemon]() {
+    const util::Result<bool> result = daemon.run();
+    return result.ok();
+  });
+  util::Result<LineClient> other = connect_when_up(config.socket_path);
+  ASSERT_TRUE(other.ok()) << other.error().to_string();
+  util::Result<Fd> slow = connect_unix(config.socket_path);
+  ASSERT_TRUE(slow.ok()) << slow.error().to_string();
+  const timeval send_timeout{0, 300000};
+  ASSERT_EQ(::setsockopt(slow.value().get(), SOL_SOCKET, SO_SNDTIMEO,
+                         &send_timeout, sizeof send_timeout),
+            0);
+
+  // Each 16-byte line asks for a ~250-byte status answer.
+  std::string block;
+  while (block.size() < 64 * 1024) block += "{\"op\":\"status\"}\n";
+  constexpr std::size_t kWriteCap = 4u << 20;
+  std::size_t written = 0;
+  bool stalled = false;
+  while (written < kWriteCap && !stalled) {
+    const ssize_t n =
+        ::send(slow.value().get(), block.data(), block.size(), MSG_NOSIGNAL);
+    if (n > 0) {
+      written += static_cast<std::size_t>(n);
+    } else {
+      stalled = n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+      ASSERT_TRUE(stalled) << "send failed: errno " << errno;
+    }
+  }
+  EXPECT_TRUE(stalled) << written << " bytes written without a stall";
+  // The high-water mark plus both sides' socket buffers, with room to
+  // spare. Without the mark the daemon takes all 4 MiB.
+  EXPECT_LT(written, kOutputHighWaterBytes + (1u << 20));
+
+  const auto status =
+      other.value().roundtrip(R"({"op":"status","id":"o"})", 5000);
+  ASSERT_TRUE(status.ok()) << status.error().to_string();
+  EXPECT_EQ(error_code_of(status.value()), "");
+
+  slow.value().reset();  // a hung-up peer is dropped, not waited for
+  daemon.request_stop();
+  EXPECT_TRUE(outcome.get());
 }
 
 TEST(Daemon, RefusesToClobberARegularFile) {

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "voprof/core/predictor.hpp"
+#include "voprof/core/serialize.hpp"
 #include "voprof/core/trainer.hpp"
 #include "voprof/monitor/script.hpp"
 #include "voprof/util/assert.hpp"
@@ -57,6 +61,28 @@ TEST(Trainer, RejectsBadConfig) {
   EXPECT_THROW(Trainer{c2}, util::ContractViolation);
 }
 
+// The Table II micro-benchmark sweep as `voprofctl export-trace` dumps
+// it: Trainer::collect written through training_set_to_csv.
+std::string micro_sweep_csv(std::uint64_t seed, int jobs) {
+  TrainerConfig c;
+  c.duration = util::seconds(3.0);
+  c.seed = seed;
+  c.jobs = jobs;
+  c.vm_counts = {1, 2};
+  c.kinds = {wl::WorkloadKind::kCpu, wl::WorkloadKind::kIo};
+  return training_set_to_csv(Trainer(c).collect()).str();
+}
+
+TEST(MicroSweep, ByteIdenticalAcrossJobCounts) {
+  const std::string serial = micro_sweep_csv(42, 1);
+  EXPECT_EQ(serial, micro_sweep_csv(42, 2));
+  EXPECT_EQ(serial, micro_sweep_csv(42, 8));
+}
+
+TEST(MicroSweep, BaseSeedChangesTheData) {
+  EXPECT_NE(micro_sweep_csv(42, 2), micro_sweep_csv(43, 2));
+}
+
 class TrainedPipeline : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -77,7 +103,7 @@ TrainedModels* TrainedPipeline::models_ = nullptr;
 
 TEST_F(TrainedPipeline, CpuCoefficientIsNearOne) {
   // PM CPU rises essentially 1:1 with VM CPU plus Dom0/hyp response.
-  const LinearFit& f = models_->single.fit_for(MetricIndex::kCpu);
+  const LinearFit& f = models_->multi.base().fit_for(MetricIndex::kCpu);
   EXPECT_GT(f.coef[1], 1.0);   // includes the control-plane response
   EXPECT_LT(f.coef[1], 1.45);
   // Intercept absorbs Dom0 base + hypervisor base (~20 %).
@@ -85,7 +111,7 @@ TEST_F(TrainedPipeline, CpuCoefficientIsNearOne) {
 }
 
 TEST_F(TrainedPipeline, IoCoefficientNearAmplification) {
-  const LinearFit& f = models_->single.fit_for(MetricIndex::kIo);
+  const LinearFit& f = models_->multi.base().fit_for(MetricIndex::kIo);
   EXPECT_NEAR(f.coef[3], 2.05, 0.15);  // vdisk striping factor
   EXPECT_NEAR(f.coef[0], 18.8, 3.0);   // background I/O
 }
@@ -93,7 +119,7 @@ TEST_F(TrainedPipeline, IoCoefficientNearAmplification) {
 TEST_F(TrainedPipeline, BwCpuCrossCoefficientMatchesNetback) {
   // VM bandwidth drives PM CPU at ~0.0105+0.00055 per Kb/s
   // (netback + hypervisor traps).
-  const LinearFit& f = models_->single.fit_for(MetricIndex::kCpu);
+  const LinearFit& f = models_->multi.base().fit_for(MetricIndex::kCpu);
   EXPECT_NEAR(f.coef[4], 0.011, 0.004);
 }
 

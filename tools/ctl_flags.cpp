@@ -17,9 +17,8 @@ struct CommandEntry {
 
 /// The whole CLI surface. Cross-cutting flags keep one spelling:
 /// --jobs (parallelism), --seed, --format csv|json, --trace-out
-/// (observability trace file, everywhere — --trace is reserved for
-/// observation-CSV *inputs*, now spelled --observations). Every command
-/// also takes --help (see kHelpFlag).
+/// (observability trace file, everywhere; observation-CSV inputs are
+/// --observations). Every command also takes --help (see kHelpFlag).
 const std::vector<CommandEntry>& command_table() {
   static const std::vector<CommandEntry> table = {
       {"train",
@@ -78,12 +77,12 @@ const std::vector<CommandEntry>& command_table() {
         "2 = bad input, 4 = improvement (with --report-improvement)"}},
       {"serve",
        {{"socket"}, {"jobs"}, {"queue-capacity"}, {"default-deadline-ms"},
-        {"max-deadline-ms"}, {"train-duration"}, {"seed"}, {"inner-jobs"},
+        {"max-deadline-ms"}, {"train-duration"}, {"seed"},
         {"enable-test-ops", true}, {"metrics-out"}, {"trace-out"}},
        "run the voprofd daemon",
        {"--socket PATH [--jobs N] [--queue-capacity N]",
         "[--default-deadline-ms MS] [--max-deadline-ms MS]",
-        "[--train-duration SEC] [--seed N] [--inner-jobs N]",
+        "[--train-duration SEC] [--seed N]",
         "[--metrics-out FILE] [--trace-out FILE] [--enable-test-ops]"}},
       {"request",
        {{"socket"}, {"op"}, {"params"}, {"id"}, {"deadline-ms"},
@@ -160,17 +159,8 @@ std::vector<std::string> known_commands() {
   return out;
 }
 
-const std::vector<FlagAlias>& flag_aliases() {
-  static const std::vector<FlagAlias> aliases = {
-      {"simulate", "csv", "series-out"},
-      {"fit", "trace", "observations"},
-      {"inspect", "trace", "observations"},
-  };
-  return aliases;
-}
-
-util::Result<ParsedFlags> parse_flags(const std::string& command,
-                                      const std::vector<std::string>& tokens) {
+util::Result<util::CliArgs> parse_flags(
+    const std::string& command, const std::vector<std::string>& tokens) {
   const CommandEntry* entry = find_command(command);
   if (entry == nullptr) {
     std::string cmds;
@@ -184,49 +174,31 @@ util::Result<ParsedFlags> parse_flags(const std::string& command,
                        "cli"};
   }
 
-  ParsedFlags out;
-  // Rewrite deprecated spellings before structural parsing so the
-  // alias also works for `--csv value` pairs.
-  std::vector<std::string> rewritten;
-  rewritten.reserve(tokens.size() + 1);
-  rewritten.emplace_back("voprofctl");  // argv[0] slot CliArgs skips
-  for (const std::string& token : tokens) {
-    std::string mapped = is_help_token(token) ? "--help" : token;
-    if (token.rfind("--", 0) == 0) {
-      const std::string name = token.substr(2);
-      for (const FlagAlias& alias : flag_aliases()) {
-        if (alias.command == command && alias.deprecated == name) {
-          mapped = "--" + alias.canonical;
-          out.warnings.push_back("--" + alias.deprecated +
-                                 " is deprecated; use --" + alias.canonical);
-          break;
-        }
-      }
-    }
-    rewritten.push_back(std::move(mapped));
-  }
-
   std::vector<const char*> argv;
-  argv.reserve(rewritten.size());
-  for (const std::string& t : rewritten) argv.push_back(t.c_str());
+  argv.reserve(tokens.size() + 1);
+  argv.push_back("voprofctl");  // argv[0] slot CliArgs skips
+  for (const std::string& token : tokens) {
+    argv.push_back(is_help_token(token) ? "--help" : token.c_str());
+  }
   std::vector<std::string> bool_flags = {kHelpFlag};
   for (const FlagSpec& f : entry->flags) {
     if (f.boolean) bool_flags.push_back(f.name);
   }
 
+  util::CliArgs args;
   try {
-    out.args = util::CliArgs::parse(static_cast<int>(argv.size()),
-                                    argv.data(), bool_flags);
+    args = util::CliArgs::parse(static_cast<int>(argv.size()), argv.data(),
+                                bool_flags);
   } catch (const util::ContractViolation& e) {
     return util::Error{util::Errc::kValidation, e.what(), command};
   }
-  if (!out.args.command().empty()) {
+  if (!args.command().empty()) {
     return util::Error{util::Errc::kValidation,
-                       "unexpected positional argument '" +
-                           out.args.command() + "'",
+                       "unexpected positional argument '" + args.command() +
+                           "'",
                        command};
   }
-  for (const std::string& name : out.args.flag_names()) {
+  for (const std::string& name : args.flag_names()) {
     const bool known =
         name == kHelpFlag ||
         std::any_of(entry->flags.begin(), entry->flags.end(),
@@ -238,13 +210,13 @@ util::Result<ParsedFlags> parse_flags(const std::string& command,
                          command};
     }
   }
-  return out;
+  return args;
 }
 
-util::Result<ParsedFlags> parse_flags_argv(const std::string& command,
-                                           int argc,
-                                           const char* const* argv,
-                                           int first_token) {
+util::Result<util::CliArgs> parse_flags_argv(const std::string& command,
+                                             int argc,
+                                             const char* const* argv,
+                                             int first_token) {
   std::vector<std::string> tokens;
   for (int i = first_token; i < argc; ++i) tokens.emplace_back(argv[i]);
   return parse_flags(command, tokens);

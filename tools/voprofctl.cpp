@@ -32,8 +32,8 @@
 /// Every command accepts --help (its usage, exit 0); the pipeline
 /// commands accept --trace-out FILE (observability trace export) and
 /// share one spelling for --jobs / --seed / --format. Flags are
-/// declared in tools/ctl_flags.cpp; deprecated spellings are rewritten
-/// there with a warning.
+/// declared in tools/ctl_flags.cpp; an unknown flag is an error that
+/// lists the valid ones.
 
 #include <cstdio>
 #include <fstream>
@@ -103,7 +103,7 @@ int cmd_train(const util::CliArgs& args) {
   std::cout << "wrote " << args.get("out") << " ("
             << models.data.size() << " observations)\n";
   const model::LinearFit& cpu =
-      models.single.fit_for(model::MetricIndex::kCpu);
+      models.multi.base().fit_for(model::MetricIndex::kCpu);
   std::printf("PM-CPU fit: R^2 %.4f, rms %.3f\n", cpu.r_squared,
               cpu.residual_rms);
   return 0;
@@ -525,16 +525,13 @@ int main(int argc, char** argv) {
       return cmd_trace(argv[2], util::CliArgs::parse(argc - 2, argv + 2));
     }
 
-    const util::Result<tools::ParsedFlags> parsed =
+    const util::Result<util::CliArgs> parsed =
         tools::parse_flags_argv(cmd, argc, argv, 2);
     if (!parsed.ok()) {
       std::cerr << "voprofctl: " << parsed.error().to_string() << '\n';
       return 2;
     }
-    for (const std::string& warning : parsed.value().warnings) {
-      std::cerr << "voprofctl: " << warning << '\n';
-    }
-    const util::CliArgs& args = parsed.value().args;
+    const util::CliArgs& args = parsed.value();
     if (args.get_bool(tools::kHelpFlag)) {
       std::cout << tools::command_usage(cmd);
       return 0;

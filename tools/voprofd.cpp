@@ -8,8 +8,7 @@
 ///   voprofd --socket /run/voprofd.sock [--jobs N]
 ///           [--queue-capacity N] [--default-deadline-ms MS]
 ///           [--max-deadline-ms MS] [--train-duration SEC] [--seed N]
-///           [--inner-jobs N] [--metrics-out FILE] [--trace-out FILE]
-///           [--enable-test-ops]
+///           [--metrics-out FILE] [--trace-out FILE] [--enable-test-ops]
 ///
 /// Interact with it via `voprofctl request --socket ... --op ...`.
 
@@ -22,16 +21,13 @@
 
 int main(int argc, char** argv) {
   using namespace voprof;
-  const util::Result<tools::ParsedFlags> parsed =
+  const util::Result<util::CliArgs> parsed =
       tools::parse_flags_argv("serve", argc, argv, 1);
   if (!parsed.ok()) {
     std::cerr << "voprofd: " << parsed.error().to_string() << '\n';
     return 2;
   }
-  for (const std::string& warning : parsed.value().warnings) {
-    std::cerr << "voprofd: " << warning << '\n';
-  }
-  const util::CliArgs& args = parsed.value().args;
+  const util::CliArgs& args = parsed.value();
   if (args.get_bool(tools::kHelpFlag)) {
     std::cout << tools::command_usage("serve", "voprofd");
     return 0;
